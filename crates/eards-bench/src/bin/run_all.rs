@@ -6,6 +6,10 @@ use std::fmt::Write as _;
 
 type Experiment = fn() -> eards_bench::ExperimentResult;
 
+/// Heading of the hand-maintained tail of `EXPERIMENTS.md`, kept across
+/// regenerations.
+const PERF_HISTORY: &str = "## Performance history";
+
 #[allow(clippy::disallowed_methods)] // harness reports wall time per experiment
 fn main() {
     let t0 = std::time::Instant::now();
@@ -74,6 +78,13 @@ fn main() {
         doc,
         "---\n\nTotal shape-check violations across all experiments: {failures}\n"
     );
+    // The hand-maintained performance history (before/after numbers of
+    // perf changes) cannot be regenerated: carry it over verbatim.
+    if let Ok(old) = std::fs::read_to_string("EXPERIMENTS.md") {
+        if let Some(at) = old.find(PERF_HISTORY) {
+            let _ = write!(doc, "\n{}", &old[at..]);
+        }
+    }
     match std::fs::write("EXPERIMENTS.md", &doc) {
         Ok(()) => eprintln!("wrote EXPERIMENTS.md ({} bytes)", doc.len()),
         Err(e) => eprintln!("could not write EXPERIMENTS.md: {e}"),

@@ -21,9 +21,7 @@
 //! [`AuditorMode::Strict`], which also panics on the first violation
 //! (used by the CI chaos smoke run).
 
-use std::collections::HashSet;
-
-use eards_model::{Cluster, ShardMap, VmId};
+use eards_model::{Cluster, ShardMap};
 use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
 use crate::config::AuditorMode;
@@ -40,8 +38,12 @@ pub struct InvariantAuditor {
     checks: u64,
     violations: u64,
     messages: Vec<String>,
-    // lint:allow(D001): duplicate-detection via insert() only, never iterated. lint:allow(SNAP001): per-pass scratch, cleared before every use
-    seen: HashSet<VmId>,
+    /// Duplicate-residency detection, indexed by `VmId::index`: a slot
+    /// holds the number of the last pass (`checks`) that found the VM
+    /// resident, so passes need no clearing. Pass numbers start at 1, so
+    /// a fresh zeroed slot never matches.
+    // lint:allow(SNAP001): per-pass scratch; pass numbers only grow, so an empty table is valid after restore
+    seen: Vec<u64>,
     /// Rack-aligned partition to validate when the policy runs the
     /// sharded solver: the light pass additionally checks that the map
     /// still partitions the live cluster and that per-shard resident
@@ -63,7 +65,7 @@ impl InvariantAuditor {
             checks: 0,
             violations: 0,
             messages: Vec::new(),
-            seen: HashSet::new(),
+            seen: Vec::new(),
             shard_map: None,
             shard_scratch: Vec::new(),
         }
@@ -130,12 +132,13 @@ impl InvariantAuditor {
     }
 
     fn light_pass(&mut self, cluster: &Cluster, finished: u64) -> Result<(), String> {
-        self.seen.clear();
+        let pass = self.checks;
+        self.seen.resize(cluster.num_vms(), 0);
         let mut placed = 0u64;
         for h in cluster.hosts() {
             let id = h.spec.id;
             for &vm in &h.resident {
-                if !self.seen.insert(vm) {
+                if std::mem::replace(&mut self.seen[vm.index()], pass) == pass {
                     return Err(format!("{vm} resident on two hosts"));
                 }
                 placed += 1;
@@ -186,8 +189,8 @@ impl InvariantAuditor {
     }
 }
 
-/// Canonical state: mode and counters. The `seen` set is per-pass scratch
-/// (cleared at the top of every light pass) and is rebuilt empty.
+/// Canonical state: mode and counters. The `seen` table is per-pass
+/// scratch (stamped with the pass number) and is rebuilt empty.
 impl Persist for InvariantAuditor {
     fn persist(&self, w: &mut Writer) {
         self.mode.persist(w);
@@ -201,7 +204,7 @@ impl Persist for InvariantAuditor {
             checks: r.get_u64()?,
             violations: r.get_u64()?,
             messages: Vec::restore(r)?,
-            seen: HashSet::new(),
+            seen: Vec::new(),
             shard_map: None,
             shard_scratch: Vec::new(),
         })
@@ -211,7 +214,9 @@ impl Persist for InvariantAuditor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eards_model::{Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerState};
+    use eards_model::{
+        Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerState, VmId,
+    };
     use eards_sim::SimDuration;
 
     fn cluster(n: u32) -> Cluster {

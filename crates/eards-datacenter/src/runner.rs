@@ -218,8 +218,9 @@ pub struct Runner {
 
     sim: Simulator<Event>,
     rng: SimRng,
-    // lint:allow(D001): keyed removal/insertion only, never iterated
-    completion: HashMap<VmId, EventHandle>,
+    /// The pending completion event of each executing VM, indexed by
+    /// `VmId::index`; grown to the VM table on first insertion.
+    completion: Vec<Option<EventHandle>>,
     // BTreeMap, not HashMap: the invariant auditor iterates both timer
     // maps, and audit order must not depend on hasher state (lint D001).
     failure_timer: BTreeMap<HostId, EventHandle>,
@@ -363,7 +364,7 @@ impl Runner {
             label,
             sim: Simulator::new(),
             rng,
-            completion: HashMap::new(),
+            completion: Vec::new(),
             failure_timer: BTreeMap::new(),
             slowdown_timer: BTreeMap::new(),
             faults,
@@ -633,12 +634,14 @@ impl Runner {
 
         self.sim.persist(w);
         self.rng.persist(w);
-        // HashMaps are serialized as key-sorted pair lists so the byte
-        // stream never depends on hasher state.
-        let mut completion: Vec<(VmId, EventHandle)> =
-            // lint:allow(D001): collected then key-sorted before serializing
-            self.completion.iter().map(|(&k, &v)| (k, v)).collect();
-        completion.sort_by_key(|&(vm, _)| vm);
+        // Keyed tables are written as key-sorted pair lists. The dense
+        // completion table yields its pending entries in VmId order.
+        let completion: Vec<(VmId, EventHandle)> = self
+            .completion
+            .iter()
+            .enumerate()
+            .filter_map(|(i, h)| h.map(|h| (VmId(i as u64), h)))
+            .collect();
         completion.persist(w);
         let failure: Vec<(HostId, EventHandle)> =
             self.failure_timer.iter().map(|(&k, &v)| (k, v)).collect();
@@ -651,6 +654,7 @@ impl Runner {
         let retry: Vec<(VmId, RetryState)> = self.retry.iter().map(|(&k, &v)| (k, v)).collect();
         retry.persist(w);
         self.crash_counts.persist(w);
+        // Sorted so the byte stream never depends on hasher state.
         let mut displaced: Vec<(VmId, SimTime)> =
             // lint:allow(D001): collected then key-sorted before serializing
             self.displaced_at.iter().map(|(&k, &v)| (k, v)).collect();
@@ -708,9 +712,8 @@ impl Runner {
 
         self.sim = Simulator::restore(r)?;
         self.rng = SimRng::restore(r)?;
-        self.completion = Vec::<(VmId, EventHandle)>::restore(r)?
-            .into_iter()
-            .collect();
+        // Densified once the VM table it indexes has been restored.
+        let completion = Vec::<(VmId, EventHandle)>::restore(r)?;
         self.failure_timer = Vec::<(HostId, EventHandle)>::restore(r)?
             .into_iter()
             .collect();
@@ -748,6 +751,25 @@ impl Runner {
         self.parked = Vec::<(VmId, SimTime)>::restore(r)?.into_iter().collect();
         self.vms_parked = r.get_u64()?;
         self.cluster = Cluster::restore(r)?;
+        self.completion = vec![None; self.cluster.num_vms()];
+        for (vm, handle) in completion {
+            let slot = usize::try_from(vm.raw())
+                .ok()
+                .and_then(|i| self.completion.get_mut(i));
+            match slot {
+                Some(slot @ None) => *slot = Some(handle),
+                Some(Some(_)) => {
+                    return Err(PersistError::Corrupt(format!(
+                        "two completion timers for {vm}"
+                    )))
+                }
+                None => {
+                    return Err(PersistError::Corrupt(format!(
+                        "completion timer for {vm}, beyond the VM table"
+                    )))
+                }
+            }
+        }
         // The auditor's shard map is derived state, not snapshot payload:
         // re-arm it from the configuration so a restored run keeps the
         // cross-shard conservation check.
@@ -867,7 +889,7 @@ impl Runner {
                 None
             }
             Event::JobCompletion(vm) => {
-                self.completion.remove(&vm);
+                self.take_completion(vm);
                 if self.cluster.vm(vm).state != VmState::Running {
                     // Migrating/checkpointing: their completion handlers
                     // re-check; a queued VM (failure) restarts later.
@@ -1125,14 +1147,7 @@ impl Runner {
             }
             Event::SlaCheck => {
                 let mut violated = false;
-                let mut running: Vec<VmId> = self
-                    .cluster
-                    .vms()
-                    .filter(|v| v.state == VmState::Running)
-                    .map(|v| v.id)
-                    .collect();
-                running.sort_unstable(); // HashMap order is not deterministic
-                for vm in running {
+                for vm in self.running_vms() {
                     if let Some(host) = self.cluster.vm(vm).host {
                         self.cluster.touch_host(host, now);
                     }
@@ -1200,14 +1215,7 @@ impl Runner {
                 None
             }
             Event::CheckpointTick => {
-                let mut eligible: Vec<VmId> = self
-                    .cluster
-                    .vms()
-                    .filter(|v| v.state == VmState::Running)
-                    .map(|v| v.id)
-                    .collect();
-                eligible.sort_unstable(); // HashMap order is not deterministic
-                for vm in eligible {
+                for vm in self.running_vms() {
                     let ends = now + self.cfg.checkpoint_duration;
                     let seq = self.cluster.start_checkpoint(vm, now, ends);
                     self.sim.schedule_at(ends, Event::CheckpointDone(vm, seq));
@@ -1220,6 +1228,21 @@ impl Runner {
                 None
             }
         }
+    }
+
+    /// The `Running` VMs, in `VmId` order. Walks the hosts' resident
+    /// lists (every executing VM is resident somewhere) rather than every
+    /// VM ever admitted.
+    fn running_vms(&self) -> Vec<VmId> {
+        let mut running: Vec<VmId> = self
+            .cluster
+            .hosts()
+            .iter()
+            .flat_map(|h| h.resident.iter().copied())
+            .filter(|&vm| self.cluster.vm(vm).state == VmState::Running)
+            .collect();
+        running.sort_unstable(); // resident lists are in placement order
+        running
     }
 
     // ----- scheduling ------------------------------------------------------
@@ -1517,7 +1540,7 @@ impl Runner {
         );
         self.vms_displaced += displaced.len() as u64;
         for vm in displaced {
-            if let Some(handle) = self.completion.remove(&vm) {
+            if let Some(handle) = self.take_completion(vm) {
                 self.sim.cancel(handle);
             }
             // A crash resets the retry ladder — the VM did nothing wrong —
@@ -1692,8 +1715,13 @@ impl Runner {
         }
     }
 
+    /// Removes and returns the VM's pending completion event, if any.
+    fn take_completion(&mut self, vm: VmId) -> Option<EventHandle> {
+        self.completion.get_mut(vm.index()).and_then(Option::take)
+    }
+
     fn refresh_completion(&mut self, vm: VmId, now: SimTime) {
-        if let Some(handle) = self.completion.remove(&vm) {
+        if let Some(handle) = self.take_completion(vm) {
             self.sim.cancel(handle);
         }
         let v = self.cluster.vm(vm);
@@ -1705,7 +1733,10 @@ impl Runner {
             // of work at the projected instant.
             let at = now + SimDuration::from_secs_f64(eta) + SimDuration::from_millis(1);
             let handle = self.sim.schedule_at(at, Event::JobCompletion(vm));
-            self.completion.insert(vm, handle);
+            if vm.index() >= self.completion.len() {
+                self.completion.resize(self.cluster.num_vms(), None);
+            }
+            self.completion[vm.index()] = Some(handle);
         }
     }
 
@@ -1715,7 +1746,7 @@ impl Runner {
         if self.cluster.vm(vm).state != VmState::Running || !self.cluster.vm(vm).work_complete() {
             return false;
         }
-        if let Some(handle) = self.completion.remove(&vm) {
+        if let Some(handle) = self.take_completion(vm) {
             self.sim.cancel(handle);
         }
         let host = self.cluster.vm(vm).host.expect("running VM has a host");
@@ -1785,13 +1816,13 @@ impl Runner {
             }
         }
         // Jobs still in flight at the horizon count as unfinished.
-        let mut unfinished: Vec<VmId> = self
+        // `vms()` yields VmId order: a deterministic report order.
+        let unfinished: Vec<VmId> = self
             .cluster
             .vms()
             .filter(|v| v.state != VmState::Finished)
             .map(|v| v.id)
             .collect();
-        unfinished.sort_unstable(); // deterministic report order
         for vm in unfinished {
             if let Some(host) = self.cluster.vm(vm).host {
                 self.cluster.touch_host(host, end);
@@ -1831,22 +1862,28 @@ mod seq_guard_tests {
         SimTime::from_secs(secs)
     }
 
-    fn runner_with_two_hosts() -> Runner {
-        let hosts = vec![
+    fn two_hosts() -> Vec<HostSpec> {
+        vec![
             HostSpec::standard(HostId(0), HostClass::Medium),
             HostSpec::standard(HostId(1), HostClass::Medium),
-        ];
-        let job = Job::new(
+        ]
+    }
+
+    fn one_job() -> Trace {
+        Trace::new(vec![Job::new(
             JobId(0),
             SimTime::ZERO,
             Cpu(100),
             Mem::gib(1),
             SimDuration::from_secs(600),
             1.5,
-        );
+        )])
+    }
+
+    fn runner_with_two_hosts() -> Runner {
         let mut r = Runner::new(
-            hosts,
-            Trace::new(vec![job]),
+            two_hosts(),
+            one_job(),
             Box::new(RandomPolicy::new(1)),
             RunConfig::default(),
         );
@@ -1923,5 +1960,33 @@ mod seq_guard_tests {
         assert!(r.handle(t(101), Event::MigrationDone(vm, mseq2)).is_some());
         assert_eq!(r.cluster.vm(vm).host, Some(HostId(1)));
         assert_eq!(r.cluster.vm(vm).state, VmState::Running);
+    }
+
+    /// A snapshot carrying a completion timer for a VM outside the VM
+    /// table is rejected as corrupt rather than indexed out of bounds.
+    #[test]
+    fn restore_rejects_a_completion_timer_beyond_the_vm_table() {
+        let mut r = runner_with_two_hosts();
+        let job = r.jobs[0].clone();
+        let vm = r.cluster.submit_job(job);
+        let seq = r.cluster.start_creation(vm, HostId(0), t(0), t(40));
+        assert!(r.handle(t(40), Event::CreationDone(vm, seq)).is_some());
+        let handle = r.take_completion(vm).expect("running VM has a timer");
+        r.completion.push(Some(handle)); // slot 1: no such VM
+        let bytes = r.snapshot().unwrap();
+        let restored = Runner::restore(
+            two_hosts(),
+            one_job(),
+            Box::new(RandomPolicy::new(1)),
+            RunConfig::default(),
+            &bytes,
+        );
+        match restored {
+            Err(PersistError::Corrupt(msg)) => {
+                assert!(msg.contains("beyond the VM table"), "got: {msg}")
+            }
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("expected Corrupt, restore succeeded"),
+        }
     }
 }

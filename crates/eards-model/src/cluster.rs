@@ -6,8 +6,6 @@
 //! preconditions — an illegal transition is a simulator bug, not a
 //! recoverable condition.
 
-use std::collections::HashMap;
-
 use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
 
 use crate::host::{HostSpec, InFlightOp, OpKind, PowerState};
@@ -111,14 +109,14 @@ impl Host {
 /// ```
 pub struct Cluster {
     hosts: Vec<Host>,
-    // Keyed VmId lookups; the only iterations are the documented-unordered
-    // vms() accessor and order-insensitive verify().
-    // lint:allow(D001): keyed lookups; iteration sites carry their own reasons
-    vms: HashMap<VmId, Vm>,
+    /// Every VM ever admitted, indexed by [`VmId::index`]: `vms[i].id ==
+    /// VmId(i)`. `submit_job` hands out ids sequentially and no VM is
+    /// ever removed (finished ones stay for the report), so the table is
+    /// dense by construction; `restore` rejects snapshots that break it.
+    vms: Vec<Vm>,
     /// The paper's *virtual host* (§III-A): VMs awaiting allocation, in
     /// arrival order. Holds new arrivals and VMs displaced by failures.
     queue: Vec<VmId>,
-    next_vm_id: u64,
     /// Monotonic identity for in-flight operations. Timestamps cannot
     /// serve as identity: an abort scheduled for the same tick as a later
     /// operation's completion would collide on `ends`.
@@ -140,9 +138,8 @@ impl Cluster {
                 .into_iter()
                 .map(|s| Host::new(s, initial_power))
                 .collect(),
-            vms: HashMap::new(),
+            vms: Vec::new(),
             queue: Vec::new(),
-            next_vm_id: 0,
             next_op_seq: 0,
         }
     }
@@ -173,19 +170,17 @@ impl Cluster {
 
     /// A VM by id. Panics on unknown ids (ids are never invented).
     pub fn vm(&self, id: VmId) -> &Vm {
-        &self.vms[&id]
+        &self.vms[id.index()]
     }
 
     /// Mutable VM access (used by the driver for progress bookkeeping).
     pub fn vm_mut(&mut self, id: VmId) -> &mut Vm {
-        self.vms.get_mut(&id).expect("unknown VmId")
+        &mut self.vms[id.index()]
     }
 
-    /// All VMs (unordered).
+    /// All VMs ever admitted, in `VmId` order.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
-        // Documented unordered: callers needing a stable order sort by VmId.
-        // lint:allow(D001): accessor is documented unordered
-        self.vms.values()
+        self.vms.iter()
     }
 
     /// Total VMs ever admitted (including finished ones).
@@ -231,7 +226,7 @@ impl Cluster {
         h.resident
             .iter()
             .chain(h.incoming.iter())
-            .fold(Resources::ZERO, |acc, id| acc.plus(self.vms[id].requested))
+            .fold(Resources::ZERO, |acc, &id| acc.plus(self.vm(id).requested))
     }
 
     /// The paper's host occupation `O(h)`: utilization of the most used
@@ -249,7 +244,7 @@ impl Cluster {
         let already = h.resident.contains(&vm) || h.incoming.contains(&vm);
         let mut used = self.committed(host);
         if !already {
-            used = used.plus(self.vms[&vm].requested);
+            used = used.plus(self.vm(vm).requested);
         }
         used.occupation_in(h.spec.capacity())
     }
@@ -270,15 +265,15 @@ impl Cluster {
     pub fn can_place_overcommitted(&self, host: HostId, vm: VmId) -> bool {
         let h = self.host(host);
         h.power.is_ready()
-            && h.spec.satisfies(&self.vms[&vm].job.requirements)
-            && self.committed(host).mem + self.vms[&vm].requested.mem <= h.spec.capacity().mem
+            && h.spec.satisfies(&self.vm(vm).job.requirements)
+            && self.committed(host).mem + self.vm(vm).requested.mem <= h.spec.capacity().mem
     }
 
     /// CPU in use on a host: current VM allocations plus operation
     /// overheads. This is what the power model sees.
     pub fn cpu_used(&self, host: HostId) -> f64 {
         let h = self.host(host);
-        let vm_cpu: f64 = h.resident.iter().map(|id| self.vms[id].alloc).sum();
+        let vm_cpu: f64 = h.resident.iter().map(|&id| self.vm(id).alloc).sum();
         vm_cpu + h.op_cpu_overhead().as_f64()
     }
 
@@ -302,9 +297,8 @@ impl Cluster {
 
     /// Admits a job: wraps it in a queued VM on the virtual host.
     pub fn submit_job(&mut self, job: Job) -> VmId {
-        let id = VmId(self.next_vm_id);
-        self.next_vm_id += 1;
-        self.vms.insert(id, Vm::for_job(id, job));
+        let id = VmId(self.vms.len() as u64);
+        self.vms.push(Vm::for_job(id, job));
         self.queue.push(id);
         id
     }
@@ -319,7 +313,7 @@ impl Cluster {
             "start_creation on infeasible host (off, unsatisfied requirements, or out of memory)"
         );
         let seq = self.alloc_op_seq();
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = self.vm_mut(vm);
         assert_eq!(v.state, VmState::Queued, "only queued VMs can be created");
         v.state = VmState::Creating;
         v.host = Some(host);
@@ -340,7 +334,7 @@ impl Cluster {
 
     /// Completes a creation: the VM starts executing its job.
     pub fn finish_creation(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = self.vm_mut(vm);
         assert_eq!(v.state, VmState::Creating);
         v.state = VmState::Running;
         v.started_at = Some(now);
@@ -354,7 +348,7 @@ impl Cluster {
     /// Aborts an in-flight creation (dom0 failure): the VM returns to the
     /// virtual-host queue as if never placed, ready to be retried.
     pub fn abort_creation(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = self.vm_mut(vm);
         assert_eq!(v.state, VmState::Creating, "only creating VMs abort");
         let host = v.host.take().expect("creating VM must have a host");
         v.state = VmState::Queued;
@@ -377,7 +371,7 @@ impl Cluster {
             "migration target must be on, satisfy requirements, and have memory"
         );
         let seq = self.alloc_op_seq();
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = self.vm_mut(vm);
         assert_eq!(v.state, VmState::Running, "only running VMs migrate");
         let from = v.host.expect("running VM must have a host");
         assert_ne!(from, to, "migration to the current host");
@@ -404,7 +398,7 @@ impl Cluster {
 
     /// Completes a migration: the VM now runs on the destination.
     pub fn finish_migration(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = self.vm_mut(vm);
         let to = match v.state {
             VmState::Migrating { to } => to,
             // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
@@ -430,7 +424,7 @@ impl Cluster {
     /// on the destination is released and the VM keeps running on the
     /// source, where it executed all along.
     pub fn abort_migration(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = self.vm_mut(vm);
         let to = match v.state {
             VmState::Migrating { to } => to,
             // lint:allow(P001): state-machine misuse is a caller bug; failing loud beats silently corrupting placement
@@ -453,7 +447,7 @@ impl Cluster {
     /// sequence number.
     pub fn start_checkpoint(&mut self, vm: VmId, now: SimTime, ends: SimTime) -> u64 {
         let seq = self.alloc_op_seq();
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = self.vm_mut(vm);
         assert_eq!(v.state, VmState::Running, "only running VMs checkpoint");
         v.state = VmState::Checkpointing;
         let host = v.host.expect("running VM must have a host");
@@ -470,7 +464,7 @@ impl Cluster {
 
     /// Completes a checkpoint, storing the VM's progress at `now`.
     pub fn finish_checkpoint(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = self.vm_mut(vm);
         assert_eq!(v.state, VmState::Checkpointing);
         v.advance_progress(now);
         v.checkpoint = Some(v.progress);
@@ -483,7 +477,7 @@ impl Cluster {
 
     /// Completes a job: the VM is destroyed and its resources released.
     pub fn finish_vm(&mut self, vm: VmId, now: SimTime) {
-        let v = self.vms.get_mut(&vm).expect("unknown VmId");
+        let v = self.vm_mut(vm);
         assert!(
             matches!(v.state, VmState::Running),
             "only running VMs finish (state {:?})",
@@ -567,7 +561,7 @@ impl Cluster {
 
         let mut requeued = Vec::new();
         for vm in displaced {
-            let v = self.vms.get_mut(&vm).expect("unknown VmId");
+            let v = self.vm_mut(vm);
             if v.state == VmState::Finished {
                 continue;
             }
@@ -631,23 +625,21 @@ impl Cluster {
     /// grants new ones. Must be called whenever the host's VM set or op
     /// set changes.
     pub fn reallocate_host(&mut self, host: HostId, now: SimTime) {
-        let resident = self.hosts[host.raw() as usize].resident.clone();
-        // Progress first — under the allocations that held until `now`.
-        for &id in &resident {
-            self.vms
-                .get_mut(&id)
-                .expect("unknown VmId")
-                .advance_progress(now);
-        }
         let h = &self.hosts[host.raw() as usize];
+        let vms = &mut self.vms;
+        // Progress first — under the allocations that held until `now`.
+        for &id in &h.resident {
+            vms[id.index()].advance_progress(now);
+        }
         // `cpu_factor` is exactly 1.0 outside slowdown episodes, and
         // `x * 1.0 == x` bit-for-bit, so the fault layer costs nothing here
         // when disabled.
         let capacity = (h.spec.cpu.as_f64() * h.cpu_factor - h.op_cpu_overhead().as_f64()).max(0.0);
-        let contenders: Vec<CpuContender> = resident
+        let contenders: Vec<CpuContender> = h
+            .resident
             .iter()
             .map(|id| {
-                let v = &self.vms[id];
+                let v = &vms[id.index()];
                 if v.state.is_executing() {
                     CpuContender {
                         demand: v.job.cpu.as_f64(),
@@ -665,20 +657,16 @@ impl Cluster {
             })
             .collect();
         let allocs = xen::allocate(capacity, &contenders);
-        for (id, alloc) in resident.iter().zip(allocs) {
-            self.vms.get_mut(id).expect("unknown VmId").alloc = alloc;
+        for (id, alloc) in h.resident.iter().zip(allocs) {
+            vms[id.index()].alloc = alloc;
         }
     }
 
     /// Advances progress of every VM on a host without changing
     /// allocations (used before reading progress-sensitive state).
     pub fn touch_host(&mut self, host: HostId, now: SimTime) {
-        let resident = self.hosts[host.raw() as usize].resident.clone();
-        for id in resident {
-            self.vms
-                .get_mut(&id)
-                .expect("unknown VmId")
-                .advance_progress(now);
+        for &id in &self.hosts[host.raw() as usize].resident {
+            self.vms[id.index()].advance_progress(now);
         }
     }
 
@@ -699,27 +687,27 @@ impl Cluster {
     /// memory never exceeds capacity, and non-ready hosts carry no VMs.
     /// Returns the first violation found.
     pub fn verify(&self) -> Result<(), String> {
-        let mut seen_resident: HashMap<VmId, HostId> = HashMap::new();
+        // Indexed by `VmId::index`, like the VM table.
+        let mut seen_resident = vec![false; self.vms.len()];
         for h in &self.hosts {
             let id = h.spec.id;
             for &vm in &h.resident {
-                if seen_resident.insert(vm, id).is_some() {
-                    return Err(format!("{vm} resident on two hosts"));
-                }
                 // `.get`, not indexing: `verify` also gates snapshot
                 // restore, where corrupt bytes can produce residency
                 // lists naming VMs absent from the table — that must be
                 // a reported violation, not a panic.
-                match self.vms.get(&vm) {
-                    None => return Err(format!("{vm} resident on {id} but not in the VM table")),
-                    Some(v) if v.host != Some(id) => {
-                        return Err(format!("{vm} host field disagrees with {id} residency"))
-                    }
-                    Some(_) => {}
+                let Some(v) = self.vms.get(vm.index()) else {
+                    return Err(format!("{vm} resident on {id} but not in the VM table"));
+                };
+                if std::mem::replace(&mut seen_resident[vm.index()], true) {
+                    return Err(format!("{vm} resident on two hosts"));
+                }
+                if v.host != Some(id) {
+                    return Err(format!("{vm} host field disagrees with {id} residency"));
                 }
             }
             for &vm in &h.incoming {
-                match self.vms.get(&vm).map(|v| v.state) {
+                match self.vms.get(vm.index()).map(|v| v.state) {
                     Some(VmState::Migrating { to }) if to == id => {}
                     None => return Err(format!("incoming {vm} on {id} not in the VM table")),
                     s => {
@@ -753,7 +741,7 @@ impl Cluster {
             }
         }
         for &vm in &self.queue {
-            let Some(v) = self.vms.get(&vm) else {
+            let Some(v) = self.vms.get(vm.index()) else {
                 return Err(format!("queued {vm} not in the VM table"));
             };
             if v.state != VmState::Queued {
@@ -762,14 +750,11 @@ impl Cluster {
             if v.host.is_some() {
                 return Err(format!("queued {vm} has a host"));
             }
-            if seen_resident.contains_key(&vm) {
+            if seen_resident[vm.index()] {
                 return Err(format!("queued {vm} also resident"));
             }
         }
-        // Each VM is checked independently; visit order only picks which
-        // violation's message surfaces first.
-        // lint:allow(D001): order-insensitive per-VM checks
-        for v in self.vms.values() {
+        for v in &self.vms {
             match v.state {
                 VmState::Queued => {
                     if !self.queue.contains(&v.id) {
@@ -777,12 +762,12 @@ impl Cluster {
                     }
                 }
                 VmState::Finished => {
-                    if v.host.is_some() || seen_resident.contains_key(&v.id) {
+                    if v.host.is_some() || seen_resident[v.id.index()] {
                         return Err(format!("finished {} still placed", v.id));
                     }
                 }
                 _ => {
-                    if !seen_resident.contains_key(&v.id) {
+                    if !seen_resident[v.id.index()] {
                         return Err(format!("{} active but not resident anywhere", v.id));
                     }
                 }
@@ -818,24 +803,19 @@ impl Persist for Host {
     }
 }
 
-/// The VM map is serialized as a vector sorted by [`VmId`] so the byte
-/// stream is independent of `HashMap` iteration order. Restore re-keys it
-/// and then runs the full structural [`Cluster::verify`] pass, so a
-/// corrupt or hand-edited snapshot cannot smuggle in an inconsistent
-/// world state.
+/// The VM table is written as-is: it is already in [`VmId`] order. The
+/// next-id counter that follows it is the table length, kept in the byte
+/// layout as a cross-check. Restore rejects a table whose ids are not
+/// exactly `0..n` in order (a gap, a repeat, reordering) or whose length
+/// disagrees with that counter, and then runs the full structural
+/// [`Cluster::verify`] pass, so a corrupt or hand-edited snapshot cannot
+/// smuggle in an inconsistent world state.
 impl Persist for Cluster {
     fn persist(&self, w: &mut Writer) {
         self.hosts.persist(w);
-        // lint:allow(D001): collected then id-sorted before serializing
-        let mut vms: Vec<&Vm> = self.vms.values().collect();
-        vms.sort_by_key(|v| v.id);
-        w.put_len(vms.len());
-        // lint:allow(D001): iterates the sorted Vec above, not the map
-        for v in vms {
-            v.persist(w);
-        }
+        self.vms.persist(w);
         self.queue.persist(w);
-        w.put_u64(self.next_vm_id);
+        w.put_u64(self.vms.len() as u64);
         w.put_u64(self.next_op_seq);
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
@@ -848,29 +828,28 @@ impl Persist for Cluster {
                 )));
             }
         }
-        let n = r.get_len()?;
-        let mut vms = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let v = Vm::restore(r)?;
-            let id = v.id;
-            if vms.insert(id, v).is_some() {
-                return Err(PersistError::Corrupt(format!("duplicate {id} in snapshot")));
+        let vms: Vec<Vm> = Vec::restore(r)?;
+        for (i, v) in vms.iter().enumerate() {
+            if v.id != VmId(i as u64) {
+                return Err(PersistError::Corrupt(format!(
+                    "VM table slot {i} holds {}: ids must run 0..n in order",
+                    v.id
+                )));
             }
         }
         let queue: Vec<VmId> = Vec::restore(r)?;
         let next_vm_id = r.get_u64()?;
         let next_op_seq = r.get_u64()?;
-        // lint:allow(D001): existence check; any match fails regardless of order
-        if let Some(v) = vms.keys().find(|v| v.raw() >= next_vm_id) {
+        if next_vm_id != vms.len() as u64 {
             return Err(PersistError::Corrupt(format!(
-                "{v} at or beyond next_vm_id {next_vm_id}"
+                "{} VMs in the table but next_vm_id is {next_vm_id}",
+                vms.len()
             )));
         }
         let c = Cluster {
             hosts,
             vms,
             queue,
-            next_vm_id,
             next_op_seq,
         };
         c.verify().map_err(PersistError::Corrupt)?;
@@ -998,6 +977,80 @@ mod tests {
         // Truncation is an error, not a partial world.
         let mut r = Reader::new(&good[..good.len() - 4]);
         assert!(Cluster::restore(&mut r).is_err());
+    }
+
+    /// Encodes a cluster whose VM table and next-id counter are replaced
+    /// by hand, the way a corrupt or hand-edited snapshot would carry them.
+    fn encode_with_table(c: &Cluster, vms: &[Vm], next_vm_id: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        c.hosts.persist(&mut w);
+        w.put_seq(vms);
+        let queue: Vec<VmId> = vms.iter().map(|v| v.id).collect();
+        queue.persist(&mut w);
+        w.put_u64(next_vm_id);
+        w.put_u64(c.next_op_seq);
+        w.into_bytes().unwrap()
+    }
+
+    /// Restores `bytes` and returns the `Corrupt` message, failing the
+    /// test on success or on any other error kind.
+    fn corrupt_message(bytes: &[u8]) -> String {
+        match Cluster::restore(&mut Reader::new(bytes)) {
+            Err(PersistError::Corrupt(msg)) => msg,
+            Err(e) => panic!("expected Corrupt, got {e:?}"),
+            Ok(_) => panic!("expected Corrupt, restore succeeded"),
+        }
+    }
+
+    /// Three queued VMs: a world whose queue is exactly its VM table.
+    fn three_queued() -> (Cluster, Vec<Vm>) {
+        let mut c = cluster(1);
+        for i in 0..3 {
+            c.submit_job(job(i, 100, 100));
+        }
+        let vms = c.vms().cloned().collect();
+        (c, vms)
+    }
+
+    #[test]
+    fn restore_accepts_the_hand_encoded_table() {
+        let (c, vms) = three_queued();
+        let bytes = encode_with_table(&c, &vms, 3);
+        let restored = Cluster::restore(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(restored.num_vms(), 3);
+    }
+
+    #[test]
+    fn restore_rejects_a_gap_in_vm_ids() {
+        let (c, vms) = three_queued();
+        let gapped = [vms[0].clone(), vms[2].clone()];
+        let msg = corrupt_message(&encode_with_table(&c, &gapped, 2));
+        assert!(msg.contains("slot 1 holds vm2"), "got: {msg}");
+    }
+
+    #[test]
+    fn restore_rejects_out_of_order_vm_ids() {
+        let (c, vms) = three_queued();
+        let shuffled = [vms[0].clone(), vms[2].clone(), vms[1].clone()];
+        let msg = corrupt_message(&encode_with_table(&c, &shuffled, 3));
+        assert!(msg.contains("slot 1 holds vm2"), "got: {msg}");
+    }
+
+    #[test]
+    fn restore_rejects_a_duplicate_vm_id() {
+        let (c, vms) = three_queued();
+        let doubled = [vms[0].clone(), vms[1].clone(), vms[1].clone()];
+        let msg = corrupt_message(&encode_with_table(&c, &doubled, 3));
+        assert!(msg.contains("slot 2 holds vm1"), "got: {msg}");
+    }
+
+    #[test]
+    fn restore_rejects_a_vm_count_other_than_next_vm_id() {
+        let (c, vms) = three_queued();
+        for next in [2, 4, u64::MAX] {
+            let msg = corrupt_message(&encode_with_table(&c, &vms, next));
+            assert!(msg.contains("next_vm_id"), "got: {msg}");
+        }
     }
 
     #[test]

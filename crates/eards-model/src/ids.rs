@@ -32,10 +32,19 @@ id_type!(
     "h"
 );
 id_type!(
-    /// Identifies a virtual machine.
+    /// Identifies a virtual machine. VM ids are dense indices into the
+    /// cluster's VM table: handed out 0, 1, 2, … in admission order and
+    /// never retired.
     VmId(u64),
     "vm"
 );
+
+impl VmId {
+    /// The VM's slot in the cluster's dense VM table.
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 id_type!(
     /// Identifies a job (one VM executes one job in this model, as in the
     /// paper's HPC setting, but the ids are distinct concepts: a failed VM

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use eards_model::xen::{allocate, CpuContender};
 use eards_model::{
     CalibratedPowerModel, Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerModel,
-    PowerState, Resources, ShardMap, VmState,
+    PowerState, Resources, ShardMap, VmId, VmState,
 };
 use eards_sim::{Persist, Reader, SimDuration, SimTime, Writer};
 
@@ -155,102 +155,119 @@ fn cluster_op_strategy() -> impl Strategy<Value = ClusterOp> {
     ]
 }
 
+const N: u32 = 5;
+
+fn five_hosts() -> Cluster {
+    let specs = (0..N)
+        .map(|i| HostSpec::standard(HostId(i), HostClass::Medium))
+        .collect();
+    Cluster::new(specs, PowerState::On)
+}
+
+/// Applies one random operation at `clock` seconds, skipping it when no
+/// VM or host is in a state it applies to.
+fn apply(cluster: &mut Cluster, op: ClusterOp, clock: u64, next_job: &mut u64) {
+    let now = SimTime::from_secs(clock);
+    let later = SimTime::from_secs(clock + 60);
+    match op {
+        ClusterOp::Submit { cpu_idx, host_bias } => {
+            let cpu = Cpu(100 * (1 + u32::from(cpu_idx % 4)));
+            let vm = cluster.submit_job(Job::new(
+                JobId(*next_job),
+                now,
+                cpu,
+                Mem::gib(1),
+                SimDuration::from_secs(600),
+                1.5,
+            ));
+            *next_job += 1;
+            // Try to start creating it somewhere.
+            for k in 0..N {
+                let h = HostId((u32::from(host_bias) + k) % N);
+                if cluster.can_place_overcommitted(h, vm) {
+                    cluster.start_creation(vm, h, now, later);
+                    break;
+                }
+            }
+        }
+        ClusterOp::FinishCreation(pick) => {
+            let creating: Vec<_> = cluster
+                .vms()
+                .filter(|v| v.state == VmState::Creating)
+                .map(|v| v.id)
+                .collect();
+            if !creating.is_empty() {
+                let vm = creating[usize::from(pick) % creating.len()];
+                cluster.finish_creation(vm, now);
+                let host = cluster.vm(vm).host.unwrap();
+                cluster.reallocate_host(host, now);
+            }
+        }
+        ClusterOp::StartMigration { vm, to } => {
+            let running: Vec<_> = cluster
+                .vms()
+                .filter(|v| v.state == VmState::Running)
+                .map(|v| v.id)
+                .collect();
+            if running.is_empty() {
+                return;
+            }
+            let vm = running[usize::from(vm) % running.len()];
+            let target = HostId(u32::from(to) % N);
+            if cluster.vm(vm).host != Some(target) && cluster.can_place_overcommitted(target, vm) {
+                cluster.start_migration(vm, target, now, later);
+            }
+        }
+        ClusterOp::FinishMigration(pick) => {
+            let migrating: Vec<_> = cluster
+                .vms()
+                .filter(|v| matches!(v.state, VmState::Migrating { .. }))
+                .map(|v| v.id)
+                .collect();
+            if !migrating.is_empty() {
+                let vm = migrating[usize::from(pick) % migrating.len()];
+                cluster.finish_migration(vm, now);
+            }
+        }
+        ClusterOp::CompleteJob(pick) => {
+            let running: Vec<_> = cluster
+                .vms()
+                .filter(|v| v.state == VmState::Running)
+                .map(|v| v.id)
+                .collect();
+            if !running.is_empty() {
+                let vm = running[usize::from(pick) % running.len()];
+                cluster.finish_vm(vm, now);
+            }
+        }
+        ClusterOp::FailHost(pick) => {
+            let h = HostId(u32::from(pick) % N);
+            if cluster.host(h).power == PowerState::On {
+                cluster.fail_host(h, now);
+            }
+        }
+        ClusterOp::RepairAndBoot(pick) => {
+            let h = HostId(u32::from(pick) % N);
+            if cluster.host(h).power == PowerState::Failed {
+                cluster.repair_host(h);
+                cluster.begin_power_on(h, now);
+                cluster.complete_power_on(h);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
     #[test]
     fn cluster_state_machine_preserves_invariants(
         ops in proptest::collection::vec(cluster_op_strategy(), 1..120),
     ) {
-        const N: u32 = 5;
-        let specs = (0..N)
-            .map(|i| HostSpec::standard(HostId(i), HostClass::Medium))
-            .collect();
-        let mut cluster = Cluster::new(specs, PowerState::On);
-        let mut clock = 0u64;
+        let mut cluster = five_hosts();
         let mut next_job = 0u64;
 
-        for op in ops {
-            clock += 10;
-            let now = SimTime::from_secs(clock);
-            let later = SimTime::from_secs(clock + 60);
-            match op {
-                ClusterOp::Submit { cpu_idx, host_bias } => {
-                    let cpu = Cpu(100 * (1 + u32::from(cpu_idx % 4)));
-                    let vm = cluster.submit_job(Job::new(
-                        JobId(next_job), now, cpu, Mem::gib(1),
-                        SimDuration::from_secs(600), 1.5,
-                    ));
-                    next_job += 1;
-                    // Try to start creating it somewhere.
-                    for k in 0..N {
-                        let h = HostId((u32::from(host_bias) + k) % N);
-                        if cluster.can_place_overcommitted(h, vm) {
-                            cluster.start_creation(vm, h, now, later);
-                            break;
-                        }
-                    }
-                }
-                ClusterOp::FinishCreation(pick) => {
-                    let creating: Vec<_> = cluster.vms()
-                        .filter(|v| v.state == VmState::Creating)
-                        .map(|v| v.id)
-                        .collect();
-                    if !creating.is_empty() {
-                        let vm = creating[usize::from(pick) % creating.len()];
-                        cluster.finish_creation(vm, now);
-                        let host = cluster.vm(vm).host.unwrap();
-                        cluster.reallocate_host(host, now);
-                    }
-                }
-                ClusterOp::StartMigration { vm, to } => {
-                    let running: Vec<_> = cluster.vms()
-                        .filter(|v| v.state == VmState::Running)
-                        .map(|v| v.id)
-                        .collect();
-                    if running.is_empty() { continue; }
-                    let vm = running[usize::from(vm) % running.len()];
-                    let target = HostId(u32::from(to) % N);
-                    if cluster.vm(vm).host != Some(target)
-                        && cluster.can_place_overcommitted(target, vm)
-                    {
-                        cluster.start_migration(vm, target, now, later);
-                    }
-                }
-                ClusterOp::FinishMigration(pick) => {
-                    let migrating: Vec<_> = cluster.vms()
-                        .filter(|v| matches!(v.state, VmState::Migrating { .. }))
-                        .map(|v| v.id)
-                        .collect();
-                    if !migrating.is_empty() {
-                        let vm = migrating[usize::from(pick) % migrating.len()];
-                        cluster.finish_migration(vm, now);
-                    }
-                }
-                ClusterOp::CompleteJob(pick) => {
-                    let running: Vec<_> = cluster.vms()
-                        .filter(|v| v.state == VmState::Running)
-                        .map(|v| v.id)
-                        .collect();
-                    if !running.is_empty() {
-                        let vm = running[usize::from(pick) % running.len()];
-                        cluster.finish_vm(vm, now);
-                    }
-                }
-                ClusterOp::FailHost(pick) => {
-                    let h = HostId(u32::from(pick) % N);
-                    if cluster.host(h).power == PowerState::On {
-                        cluster.fail_host(h, now);
-                    }
-                }
-                ClusterOp::RepairAndBoot(pick) => {
-                    let h = HostId(u32::from(pick) % N);
-                    if cluster.host(h).power == PowerState::Failed {
-                        cluster.repair_host(h);
-                        cluster.begin_power_on(h, now);
-                        cluster.complete_power_on(h);
-                    }
-                }
-            }
+        for (step, op) in ops.into_iter().enumerate() {
+            apply(&mut cluster, op, 10 * (step as u64 + 1), &mut next_job);
             cluster.check_invariants();
 
             // Memory is never overcommitted, whatever the sequence did.
@@ -263,5 +280,38 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The VM table stays dense: after any operation sequence `vms()`
+    /// yields `VmId(0..n)` in order, every id resolves to its own VM, and
+    /// a snapshot round trip preserves both.
+    #[test]
+    fn vm_table_stays_dense_in_id_order(
+        ops in proptest::collection::vec(cluster_op_strategy(), 1..120),
+    ) {
+        let mut cluster = five_hosts();
+        let mut next_job = 0u64;
+        for (step, op) in ops.into_iter().enumerate() {
+            apply(&mut cluster, op, 10 * (step as u64 + 1), &mut next_job);
+        }
+        let n = cluster.num_vms() as u64;
+        prop_assert_eq!(n, next_job, "one VM per submitted job");
+        let expected: Vec<VmId> = (0..n).map(VmId).collect();
+        let ids: Vec<VmId> = cluster.vms().map(|v| v.id).collect();
+        prop_assert_eq!(&ids, &expected);
+        for &id in &expected {
+            prop_assert_eq!(cluster.vm(id).id, id);
+        }
+
+        let mut w = Writer::new();
+        cluster.persist(&mut w);
+        let bytes = w.into_bytes().unwrap();
+        let restored = Cluster::restore(&mut Reader::new(&bytes)).unwrap();
+        let ids: Vec<VmId> = restored.vms().map(|v| v.id).collect();
+        prop_assert_eq!(&ids, &expected);
     }
 }

@@ -4,29 +4,29 @@
 //! tentative placement consumes capacity the next one must see. [`Planner`]
 //! overlays those in-round reservations on the immutable [`Cluster`] view.
 
-use std::collections::HashMap;
-
 use eards_model::{Cluster, HostId, Resources, VmId};
 
 /// A cluster view that accumulates tentative placements made during the
 /// current scheduling round.
 pub struct Planner<'a> {
     cluster: &'a Cluster,
-    // lint:allow(D001): keyed get/entry accumulation only, never iterated
-    planned: HashMap<HostId, Resources>,
-    /// VMs this round already decided to move away from their host
-    /// (their resources no longer count there for *strict* checks).
-    // lint:allow(D001): keyed get/entry accumulation only, never iterated
-    vacated: HashMap<HostId, Resources>,
+    /// Resources tentatively placed on each host this round, indexed by
+    /// host id.
+    planned: Vec<Resources>,
+    /// Resources of VMs this round already decided to move away from each
+    /// host (they no longer count there for *strict* checks), indexed by
+    /// host id.
+    vacated: Vec<Resources>,
 }
 
 impl<'a> Planner<'a> {
     /// Starts an empty plan over `cluster`.
     pub fn new(cluster: &'a Cluster) -> Self {
+        let n = cluster.num_hosts();
         Planner {
             cluster,
-            planned: HashMap::new(),
-            vacated: HashMap::new(),
+            planned: vec![Resources::ZERO; n],
+            vacated: vec![Resources::ZERO; n],
         }
     }
 
@@ -37,18 +37,14 @@ impl<'a> Planner<'a> {
 
     /// Committed + planned − vacated resources on a host.
     pub fn effective_committed(&self, host: HostId) -> Resources {
-        let mut r = self.cluster.committed(host);
-        if let Some(&p) = self.planned.get(&host) {
-            r = r.plus(p);
-        }
-        if let Some(&v) = self.vacated.get(&host) {
-            // Saturating component-wise subtraction.
-            r = Resources::new(r.cpu.saturating_sub(v.cpu), {
-                let m = r.mem.mib().saturating_sub(v.mem.mib());
-                eards_model::Mem(m)
-            });
-        }
-        r
+        let i = host.raw() as usize;
+        let r = self.cluster.committed(host).plus(self.planned[i]);
+        // Saturating component-wise subtraction.
+        let v = self.vacated[i];
+        Resources::new(
+            r.cpu.saturating_sub(v.cpu),
+            eards_model::Mem(r.mem.mib().saturating_sub(v.mem.mib())),
+        )
     }
 
     /// Occupation a host would have after also hosting `vm`, counting the
@@ -81,16 +77,14 @@ impl<'a> Planner<'a> {
 
     /// Records a tentative placement of `vm` onto `host`.
     pub fn commit(&mut self, host: HostId, vm: VmId) {
-        let r = self.cluster.vm(vm).requested;
-        let e = self.planned.entry(host).or_insert(Resources::ZERO);
-        *e = e.plus(r);
+        let e = &mut self.planned[host.raw() as usize];
+        *e = e.plus(self.cluster.vm(vm).requested);
     }
 
     /// Records that `vm` will leave `from` (for migration planning).
     pub fn vacate(&mut self, from: HostId, vm: VmId) {
-        let r = self.cluster.vm(vm).requested;
-        let e = self.vacated.entry(from).or_insert(Resources::ZERO);
-        *e = e.plus(r);
+        let e = &mut self.vacated[from.raw() as usize];
+        *e = e.plus(self.cluster.vm(vm).requested);
     }
 }
 
