@@ -1,26 +1,23 @@
 //! Solver timing — full-rescan reference vs the incremental engine.
 //!
 //! Not a paper table: this section tracks the performance contract of the
-//! incremental score-matrix engine (`eards_core::ScoreMatrix`). It times
-//! one hill-climbing round on growing ⟨hosts, VMs⟩ cases three ways —
+//! hill-climb engine (`eards_core::solve_sharded`, run by `solve` over a
+//! single-shard map). It times one hill-climbing round on growing
+//! ⟨hosts, VMs⟩ cases two ways —
 //!
 //! * **reference** — `solve_reference`, the original `O(M·N)`-per-sweep
 //!   full rescan,
-//! * **incremental** — `solve`, cached cells + dirty-row invalidation,
-//!   allocating its matrix fresh,
-//! * **warm** — `solve_matrix` over recycled [`EngineBuffers`], the way
-//!   `ScoreScheduler` runs it round after round —
+//! * **engine** — `solve`, cached cells, two-row invalidation per move
+//!   and per-column top-k candidate lists —
 //!
-//! verifies all three produce the identical move sequence (the
-//! differential contract the `matrix_oracle` proptests pin down), and
-//! shape-checks that the incremental engine is ≥ 3× faster than the
-//! reference on the 100-host/200-VM case.
+//! verifies both produce the identical solution (the differential
+//! contract the `shard_oracle` proptests pin down), and shape-checks
+//! that the engine is ≥ 3× faster than the reference on the
+//! 100-host/200-VM case.
 
 use std::time::Instant;
 
-use eards_core::{
-    solve, solve_matrix, solve_reference, EngineBuffers, Eval, ScoreConfig, ScoreMatrix, Solution,
-};
+use eards_core::{solve, solve_reference, Eval, ScoreConfig, Solution};
 use eards_metrics::Table;
 use eards_model::{Cluster, VmId};
 use eards_sim::SimTime;
@@ -34,7 +31,7 @@ const CAP: usize = 256;
 
 const NOW_SECS: u64 = 100;
 
-/// Minimum incremental-vs-reference speedup the 100h/200v case must show.
+/// Minimum engine-vs-reference speedup the 100h/200v case must show.
 const SPEEDUP_FLOOR: f64 = 3.0;
 
 fn time_min<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
@@ -55,29 +52,9 @@ fn run_reference(cluster: &Cluster, cols: &[VmId], cfg: &ScoreConfig) -> Solutio
     solve_reference(&mut eval, CAP)
 }
 
-fn run_incremental(cluster: &Cluster, cols: &[VmId], cfg: &ScoreConfig) -> Solution {
+fn run_engine(cluster: &Cluster, cols: &[VmId], cfg: &ScoreConfig) -> Solution {
     let mut eval = Eval::new(cluster, cfg, SimTime::from_secs(NOW_SECS), cols.to_vec());
     solve(&mut eval, CAP)
-}
-
-fn run_warm(
-    cluster: &Cluster,
-    cols: &[VmId],
-    cfg: &ScoreConfig,
-    buf: &mut EngineBuffers,
-) -> Solution {
-    let mut eval = Eval::new_in(
-        cluster,
-        cfg,
-        SimTime::from_secs(NOW_SECS),
-        cols.to_vec(),
-        buf,
-    );
-    let mut matrix = ScoreMatrix::new_in(&mut eval, buf);
-    let sol = solve_matrix(&mut matrix, CAP);
-    matrix.recycle(buf);
-    eval.recycle(buf);
-    sol
 }
 
 /// Regenerates the solver-timing section.
@@ -94,16 +71,14 @@ pub fn run() -> ExperimentResult {
     let mut table = Table::new([
         "case",
         "reference (ms)",
-        "incremental (ms)",
-        "warm (ms)",
+        "engine (ms)",
         "speedup",
         "moves",
         "sweeps",
     ]);
-    let mut csv = String::from("case,reference_ms,incremental_ms,warm_ms,speedup,moves,sweeps\n");
+    let mut csv = String::from("case,reference_ms,engine_ms,speedup,moves,sweeps\n");
     let mut headline_speedup = 0.0;
     let mut all_identical = true;
-    let mut buf = EngineBuffers::new();
 
     for &(hosts, running, queued) in &[(25u32, 25u64, 25u64), (50, 50, 50), (100, 100, 100)] {
         let vms = running + queued;
@@ -114,22 +89,18 @@ pub fn run() -> ExperimentResult {
         // statistic for a deterministic routine on a noisy machine).
         run_reference(&cluster, &cols, &cfg);
         let (t_ref, sol_ref) = time_min(5, || run_reference(&cluster, &cols, &cfg));
-        run_incremental(&cluster, &cols, &cfg);
-        let (t_inc, sol_inc) = time_min(5, || run_incremental(&cluster, &cols, &cfg));
-        run_warm(&cluster, &cols, &cfg, &mut buf);
-        let (t_warm, sol_warm) = time_min(5, || run_warm(&cluster, &cols, &cfg, &mut buf));
+        run_engine(&cluster, &cols, &cfg);
+        let (t_eng, sol_eng) = time_min(5, || run_engine(&cluster, &cols, &cfg));
 
-        let identical = sol_ref == sol_inc && sol_ref == sol_warm;
-        all_identical &= identical;
-        let speedup = t_ref / t_inc;
+        all_identical &= sol_ref == sol_eng;
+        let speedup = t_ref / t_eng;
         if hosts == 100 {
             headline_speedup = speedup;
         }
         table.row([
             label.clone(),
             format!("{:.3}", t_ref * 1e3),
-            format!("{:.3}", t_inc * 1e3),
-            format!("{:.3}", t_warm * 1e3),
+            format!("{:.3}", t_eng * 1e3),
             format!("{speedup:.1}x"),
             sol_ref.moves.len().to_string(),
             sol_ref.sweeps.to_string(),
@@ -137,10 +108,9 @@ pub fn run() -> ExperimentResult {
         use std::fmt::Write as _;
         let _ = writeln!(
             csv,
-            "{label},{:.4},{:.4},{:.4},{speedup:.2},{},{}",
+            "{label},{:.4},{:.4},{speedup:.2},{},{}",
             t_ref * 1e3,
-            t_inc * 1e3,
-            t_warm * 1e3,
+            t_eng * 1e3,
             sol_ref.moves.len(),
             sol_ref.sweeps,
         );
@@ -153,9 +123,9 @@ pub fn run() -> ExperimentResult {
     result.artifacts.push(("solver_timing.csv".into(), csv));
 
     result.notes.push(if all_identical {
-        "Shape check: all three paths return identical move sequences — holds.".into()
+        "Shape check: both paths return identical move sequences — holds.".into()
     } else {
-        "Shape check: all three paths return identical move sequences — VIOLATED.".into()
+        "Shape check: both paths return identical move sequences — VIOLATED.".into()
     });
     result.notes.push(
         "Noise bounds: best-of-5 wall clock on a shared machine is stable to \
@@ -169,12 +139,12 @@ pub fn run() -> ExperimentResult {
     );
     result.notes.push(if headline_speedup >= SPEEDUP_FLOOR {
         format!(
-            "Shape check: incremental >= {SPEEDUP_FLOOR:.0}x reference on 100h_200v \
+            "Shape check: engine >= {SPEEDUP_FLOOR:.0}x reference on 100h_200v \
              (measured {headline_speedup:.1}x) — holds."
         )
     } else {
         format!(
-            "Shape check: incremental >= {SPEEDUP_FLOOR:.0}x reference on 100h_200v \
+            "Shape check: engine >= {SPEEDUP_FLOOR:.0}x reference on 100h_200v \
              (measured {headline_speedup:.1}x) — VIOLATED."
         )
     });
@@ -190,11 +160,8 @@ mod tests {
         let cfg = ScoreConfig::sb();
         let (cluster, cols) = solver_case(10, 10, 10);
         let a = run_reference(&cluster, &cols, &cfg);
-        let b = run_incremental(&cluster, &cols, &cfg);
-        let mut buf = EngineBuffers::new();
-        let c = run_warm(&cluster, &cols, &cfg, &mut buf);
+        let b = run_engine(&cluster, &cols, &cfg);
         assert_eq!(a, b);
-        assert_eq!(a, c);
         assert!(!a.moves.is_empty(), "queued VMs must be placed");
     }
 }

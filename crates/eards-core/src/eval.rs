@@ -10,7 +10,7 @@
 //!
 //! with each term exactly as §III-A defines it.
 //!
-//! To support the incremental engine in [`crate::matrix`], each cell is
+//! To support the incremental engine in [`crate::shard`], each cell is
 //! split into a *round-static* part ([`CellStatic`]: `P_req` feasibility,
 //! the move-in `P_virt`/`P_conc`, `P_fault` — all functions of the
 //! immutable `&Cluster` snapshot only) and a *dynamic* part
@@ -25,6 +25,30 @@ use eards_sim::SimTime;
 
 use crate::config::ScoreConfig;
 use crate::score::Score;
+
+/// Reusable allocations for [`Eval`].
+///
+/// A long simulation runs thousands of scheduling rounds, each needing
+/// several `O(M)` / `O(N)` overlay tables. The buffers outlive the
+/// per-round `&Cluster` borrow that [`Eval`] is tied to, so
+/// [`ScoreScheduler`](crate::ScoreScheduler) keeps one `EngineBuffers`
+/// alive across rounds and recycles every vector through it instead of
+/// reallocating.
+#[derive(Debug, Default, Clone)]
+pub struct EngineBuffers {
+    pub(crate) vms: Vec<VmId>,
+    pub(crate) original: Vec<Option<usize>>,
+    pub(crate) placement: Vec<Option<usize>>,
+    pub(crate) committed: Vec<Resources>,
+    pub(crate) vm_count: Vec<usize>,
+}
+
+impl EngineBuffers {
+    /// Creates an empty buffer set (vectors grow on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
 
 /// The round-static part of one score-matrix cell `(h, v)`.
 ///
@@ -102,13 +126,7 @@ impl<'a> Eval<'a> {
     /// Builds an evaluator for the given matrix VMs, starting from their
     /// real placements.
     pub fn new(cluster: &'a Cluster, cfg: &'a ScoreConfig, now: SimTime, vms: Vec<VmId>) -> Self {
-        Self::new_in(
-            cluster,
-            cfg,
-            now,
-            vms,
-            &mut crate::matrix::EngineBuffers::default(),
-        )
+        Self::new_in(cluster, cfg, now, vms, &mut EngineBuffers::default())
     }
 
     /// Like [`Eval::new`], but recycling the vectors held in `buf` instead
@@ -119,7 +137,7 @@ impl<'a> Eval<'a> {
         cfg: &'a ScoreConfig,
         now: SimTime,
         vms: Vec<VmId>,
-        buf: &mut crate::matrix::EngineBuffers,
+        buf: &mut EngineBuffers,
     ) -> Self {
         let m = cluster.num_hosts();
         let mut committed = std::mem::take(&mut buf.committed);
@@ -157,7 +175,7 @@ impl<'a> Eval<'a> {
 
     /// Hands the evaluator's allocations (including the VM column vector)
     /// back for reuse in a later round.
-    pub fn recycle(self, buf: &mut crate::matrix::EngineBuffers) {
+    pub fn recycle(self, buf: &mut EngineBuffers) {
         buf.vms = self.vms;
         buf.original = self.original;
         buf.placement = self.placement;
@@ -513,6 +531,27 @@ mod tests {
             SimDuration::from_secs(secs),
             1.5,
         )
+    }
+
+    #[test]
+    fn buffers_round_trip_preserves_behavior() {
+        // A recycled overlay (the scheduler's round-to-round path) must
+        // climb exactly like a freshly allocated one.
+        let mut buf = EngineBuffers::new();
+        for round in 0..3 {
+            let mut c = cluster(&[HostClass::Medium; 3]);
+            let vms: Vec<_> = (0..4).map(|i| c.submit_job(job(i, 100, 600))).collect();
+            let cfg = ScoreConfig::sb0();
+            let mut fresh = Eval::new(&c, &cfg, t(round), vms.clone());
+            let expected = crate::solver::solve(&mut fresh, 32);
+            let mut eval = Eval::new_in(&c, &cfg, t(round), vms, &mut buf);
+            assert_eq!(
+                crate::solver::solve(&mut eval, 32),
+                expected,
+                "round {round}"
+            );
+            eval.recycle(&mut buf);
+        }
     }
 
     #[test]

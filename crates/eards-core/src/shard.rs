@@ -1,12 +1,12 @@
-//! The sharded hierarchical solver.
+//! The hill-climb engine (Algorithm 1, §III-B), sharded.
 //!
-//! The dense [`ScoreMatrix`](crate::matrix::ScoreMatrix) engine pays
-//! `O(M·N)` for the initial fill and `O(N)` per dirty row, which is fine
-//! at hundreds of hosts and prohibitive at ten thousand. This module
-//! trades a bounded amount of solution quality for locality: the cluster
-//! is partitioned into rack-aligned shards ([`ShardMap`]), each shard
-//! hill-climbs its own small matrix, and a cheap global balancer re-homes
-//! VMs that their shard could not place before a second local pass.
+//! Every score-based round runs here: unsharded rounds use a
+//! single-shard map ([`ShardMap::single`]), for which the solve is
+//! exactly the paper's global hill climb, and at ten thousand hosts the
+//! cluster is partitioned into rack-aligned shards ([`ShardMap`]), each
+//! shard hill-climbs its own small matrix, and a cheap global balancer
+//! re-homes VMs that their shard could not place before a second local
+//! pass — trading a bounded amount of solution quality for locality.
 //!
 //! ## Pass structure
 //!
@@ -30,7 +30,11 @@
 //! Cells live in struct-of-arrays form: the three round-static halves
 //! ([`Eval::static_cell`]) and the current full score are parallel flat
 //! arrays, so a dirty-row rescore touches contiguous memory instead of
-//! hopping across an array of structs. Per column the engine maintains a
+//! hopping across an array of structs. Applying a move `⟨v → h⟩` changes
+//! the overlay (`committed`, `vm_count`, `placement[v]`) of only the VM's
+//! old host row and its new row `h`, so a move re-scores exactly those
+//! two rows; every other cell, including the rest of column `v`, is
+//! provably unchanged. Per column the engine maintains a
 //! sorted **top-k candidate list** `(to, row)` plus a *bound*: every
 //! feasible cell of the column **not** in the list compares strictly
 //! greater than the bound under the `(to, row)` order. The argmin of the
@@ -42,10 +46,20 @@
 //! Within a shard, candidates are ordered by the documented global
 //! contract `(Δ, to, column, row)` — with *global* column and row
 //! indices, not shard-local ones. A single-shard map therefore reproduces
-//! the exact move sequence of [`solve_matrix`](crate::solver::solve_matrix)
-//! (the differential oracle in `tests/shard_oracle.rs` pins this
-//! bit-identically); multiple shards restrict each argmin to the shard's
-//! rows but never reorder equal candidates.
+//! the exact move sequence of the full-rescan
+//! [`solve_reference`](crate::solver::solve_reference) (the differential
+//! oracle in `tests/shard_oracle.rs` pins this bit-identically); multiple
+//! shards restrict each argmin to the shard's rows but never reorder
+//! equal candidates.
+//!
+//! ## Work metering
+//!
+//! The meter is checked before each shard's engine is built and at the
+//! top of every sweep, never mid-sweep, so an armed budget is overshot by
+//! at most one step: the build (`m·n` cell scores plus one `m`-row scan
+//! per column, `2·m·n`) or one later sweep (at worst every column's
+//! candidate list drains into a rescan, `m·n`, plus the argmin `n` and
+//! the two-row invalidation `4n`: `m·n + 5n`).
 
 use eards_model::ShardMap;
 
@@ -71,8 +85,8 @@ pub struct ShardedOutcome {
     pub solution: Solution,
     /// Work units charged across every shard, balancer probe included.
     pub work_spent: u64,
-    /// Host rows scored or re-scored across all shard engines (the
-    /// counterpart of `ScoreMatrix::rows_rescored`).
+    /// Host rows scored or re-scored across all shard engines: the
+    /// initial fill plus the dirty rows of every applied move.
     pub rows_rescored: u64,
     /// Queue columns dealt by the round-robin assignment this round; the
     /// caller advances its persistent cursor by this much.
@@ -116,9 +130,9 @@ struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// Builds the engine: scores every cell (charging the meter per row,
-    /// like the dense engine's lazy fill) and builds each column's
-    /// candidate list (charging per column scan).
+    /// Builds the engine: scores every cell (charging the meter per row)
+    /// and builds each column's candidate list (charging per column
+    /// scan).
     fn build(
         eval: &Eval<'_>,
         rows: std::ops::Range<usize>,
@@ -171,7 +185,7 @@ impl ShardEngine {
     }
 
     /// Re-scores local row `r` reusing the cached static halves — the
-    /// same two-half composition the dense engine uses, so values stay
+    /// same two-half composition [`Eval::score`] uses, so values stay
     /// bit-identical to a fresh `eval.score`. Frozen columns are skipped:
     /// a moved column never moves again this round, and its cells are
     /// never read (not by `best_move`, which skips it, nor by
@@ -412,7 +426,8 @@ fn climb_shard(
 /// `budget == u64::MAX` leaves the work meter unarmed.
 ///
 /// With a single-shard map this is move-for-move identical to
-/// [`solve_matrix`](crate::solver::solve_matrix) on the same evaluator.
+/// [`solve_reference`](crate::solver::solve_reference) on the same
+/// evaluator.
 pub fn solve_sharded(
     eval: &mut Eval<'_>,
     map: &ShardMap,
@@ -596,7 +611,7 @@ pub fn solve_sharded(
 mod tests {
     use super::*;
     use crate::config::ScoreConfig;
-    use crate::solver::{solve, solve_reference};
+    use crate::solver::solve_reference;
     use eards_model::{Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerState};
     use eards_sim::{SimDuration, SimTime};
 
@@ -625,39 +640,61 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_matches_dense_solver_bit_identically() {
-        for (hosts, vms, cpu) in [(4u32, 6u64, 150u32), (6, 10, 120), (3, 2, 100)] {
+    fn single_shard_matches_reference_oracle() {
+        for (hosts, vms, cpu, cap) in [
+            (4u32, 6u64, 150u32, 32usize),
+            (6, 10, 120, 32),
+            (3, 2, 100, 32),
+            (5, 8, 120, 100),
+        ] {
             let mut c = cluster(hosts);
             let ids: Vec<_> = (0..vms).map(|i| c.submit_job(job(i, cpu))).collect();
             let cfg = ScoreConfig::sb();
             let expected = {
                 let mut eval = Eval::new(&c, &cfg, t(0), ids.clone());
-                solve(&mut eval, 32)
+                solve_reference(&mut eval, cap)
             };
             let mut eval = Eval::new(&c, &cfg, t(0), ids);
             let map = ShardMap::single(hosts as usize);
-            let out = solve_sharded(&mut eval, &map, 0, 32, u64::MAX, DegradeLevel::L0Full);
+            let out = solve_sharded(&mut eval, &map, 0, cap, u64::MAX, DegradeLevel::L0Full);
             assert_eq!(
                 out.solution.moves, expected.moves,
-                "{hosts}h/{vms}v: sharded(1) diverged from the dense climb"
+                "{hosts}h/{vms}v: sharded(1) diverged from the reference climb"
             );
             assert!(!out.solution.budget_exhausted);
         }
     }
 
     #[test]
-    fn single_shard_matches_reference_oracle() {
-        let mut c = cluster(5);
-        let ids: Vec<_> = (0..8).map(|i| c.submit_job(job(i, 120))).collect();
+    fn cached_cells_match_fresh_scores_after_moves() {
+        // The engine re-scores only the two rows a move dirties; after a
+        // zig-zag of moves (stacking and vacating) every cached cell must
+        // still equal a from-scratch `eval.score` — bitwise.
+        let mut c = cluster(4);
+        let ids: Vec<_> = (0..5).map(|i| c.submit_job(job(i, 150))).collect();
         let cfg = ScoreConfig::sb();
-        let expected = {
-            let mut eval = Eval::new(&c, &cfg, t(0), ids.clone());
-            solve_reference(&mut eval, 100)
-        };
         let mut eval = Eval::new(&c, &cfg, t(0), ids);
-        let map = ShardMap::single(5);
-        let out = solve_sharded(&mut eval, &map, 0, 100, u64::MAX, DegradeLevel::L0Full);
-        assert_eq!(out.solution.moves, expected.moves);
+        let mut meter = WorkMeter::unlimited();
+        let mut rows = 0u64;
+        let mut eng = ShardEngine::build(&eval, 0..4, (0..5).collect(), &mut meter, &mut rows);
+        let frozen = [false; 5];
+        for &(v, h) in &[(0usize, 0usize), (1, 0), (2, 1), (0, 1), (3, 3), (0, 2)] {
+            let old = eval.placement_of(v);
+            eval.apply_move(v, h);
+            let dirty: Vec<usize> = old.into_iter().chain([h]).collect();
+            eng.invalidate_rows(&eval, &dirty, &frozen, &mut meter, &mut rows);
+            for h in 0..4 {
+                for v in 0..5 {
+                    let cached = eng.value[h * 5 + v];
+                    let fresh = eval.score(h, v).value();
+                    assert_eq!(
+                        cached.to_bits(),
+                        fresh.to_bits(),
+                        "cell ({h}, {v}) diverged: cached {cached} fresh {fresh}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

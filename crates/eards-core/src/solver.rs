@@ -25,20 +25,22 @@
 //! benefit, the one landing in the more negative (more consolidated)
 //! cell wins. Remaining ties fall to the lower column index, then the
 //! lower host row. This exact tuple is a compatibility contract: the
-//! incremental engine ([`crate::matrix::ScoreMatrix`]) relies on `from`
-//! being constant per column to reduce the within-column order to
-//! `(to, row)`, and `tie_breaks_follow_documented_order` pins it.
+//! engine ([`crate::shard`]) relies on `from` being constant per column
+//! to reduce the within-column order to `(to, row)`, and
+//! `tie_breaks_follow_documented_order` pins it.
 //!
-//! [`solve`] runs the hill climb through the incremental engine;
-//! [`solve_reference`] is the original full-rescan implementation, kept
-//! as the differential-testing oracle (`tests/matrix_oracle.rs` asserts
-//! move-for-move equality) and as the baseline the solver benchmarks
-//! compare against.
+//! [`solve`] runs the hill climb through the one engine,
+//! [`solve_sharded`] over a single-shard map; [`solve_reference`] is the
+//! original full-rescan implementation, kept as the differential-testing
+//! oracle (`tests/shard_oracle.rs` asserts move-for-move equality) and as
+//! the baseline the solver benchmarks compare against.
+
+use eards_model::ShardMap;
 
 use crate::budget::DegradeLevel;
 use crate::eval::Eval;
-use crate::matrix::ScoreMatrix;
 use crate::score::Score;
+use crate::shard::solve_sharded;
 
 /// One applied move: `(matrix column, host row)`.
 pub type Move = (usize, usize);
@@ -54,81 +56,19 @@ pub struct Solution {
     /// convergence.
     pub hit_move_limit: bool,
     /// The degradation-ladder rung this solve executed at (caller-
-    /// supplied context; plain [`solve`]/[`solve_matrix`] runs are L0).
+    /// supplied context; plain [`solve`] runs are L0).
     pub degrade: DegradeLevel,
-    /// Whether the matrix's armed work budget ran out mid-climb: the
-    /// moves are the best found so far, not a local optimum.
+    /// Whether the armed work budget ran out mid-climb: the moves are
+    /// the best found so far, not a local optimum.
     pub budget_exhausted: bool,
 }
 
-/// Runs hill climbing until convergence or `max_moves`, using the
-/// incremental [`ScoreMatrix`] engine (identical output to
+/// Runs hill climbing until convergence or `max_moves`: the unbudgeted,
+/// single-shard [`solve_sharded`] at L0 (identical output to
 /// [`solve_reference`], asymptotically cheaper per sweep).
 pub fn solve(eval: &mut Eval<'_>, max_moves: usize) -> Solution {
-    let mut matrix = ScoreMatrix::new(eval);
-    solve_matrix(&mut matrix, max_moves)
-}
-
-/// Hill climbs an already-built [`ScoreMatrix`] (lets callers reuse the
-/// engine's allocations across rounds; see
-/// [`EngineBuffers`](crate::matrix::EngineBuffers)).
-pub fn solve_matrix(matrix: &mut ScoreMatrix<'_, '_>, max_moves: usize) -> Solution {
-    solve_matrix_at(matrix, max_moves, DegradeLevel::L0Full)
-}
-
-/// [`solve_matrix`] with an explicit degradation rung tagged into the
-/// returned [`Solution`], honoring the matrix's armed work budget: the
-/// budget is checked at the top of every sweep, so on exhaustion the
-/// climb stops and returns the best-so-far moves with
-/// `budget_exhausted` set. Overshoot past the budget is bounded by one
-/// sweep's work — at worst the initial lazy fill plus the first
-/// column-best scan (`2·m·n`), one argmin and one challenge (`2n`), and
-/// one column recompute (`m`).
-pub fn solve_matrix_at(
-    matrix: &mut ScoreMatrix<'_, '_>,
-    max_moves: usize,
-    degrade: DegradeLevel,
-) -> Solution {
-    let n = matrix.num_vms();
-    let mut frozen = vec![false; n];
-    let mut moves = Vec::new();
-    let mut sweeps = 0;
-
-    while moves.len() < max_moves {
-        if matrix.work_exhausted() {
-            return Solution {
-                moves,
-                sweeps,
-                hit_move_limit: false,
-                degrade,
-                budget_exhausted: true,
-            };
-        }
-        sweeps += 1;
-        match matrix.best_move(&frozen) {
-            Some((v, h)) => {
-                matrix.apply_move(v, h);
-                frozen[v] = true;
-                moves.push((v, h));
-            }
-            None => {
-                return Solution {
-                    moves,
-                    sweeps,
-                    hit_move_limit: false,
-                    degrade,
-                    budget_exhausted: false,
-                };
-            }
-        }
-    }
-    Solution {
-        moves,
-        sweeps,
-        hit_move_limit: true,
-        degrade,
-        budget_exhausted: false,
-    }
+    let map = ShardMap::single(eval.num_hosts());
+    solve_sharded(eval, &map, 0, max_moves, u64::MAX, DegradeLevel::L0Full).solution
 }
 
 /// The original full-rescan hill climb: every sweep re-scores the entire
@@ -316,49 +256,47 @@ mod tests {
         assert_eq!(eval.placement_of(2), None, "third VM stays queued");
     }
 
+    /// The engine's single-shard solve at an armed `budget`.
+    fn budgeted(eval: &mut Eval<'_>, budget: u64) -> crate::shard::ShardedOutcome {
+        let map = ShardMap::single(eval.num_hosts());
+        solve_sharded(eval, &map, 0, 100, budget, DegradeLevel::L0Full)
+    }
+
     #[test]
     fn tie_breaks_follow_documented_order() {
-        // Two identical queued VMs on three identical empty hosts: every
-        // feasible cell ties on Δ (= −∞ from the virtual host) AND on the
-        // raw target score, so the winner must be the lowest (column, row)
-        // pair — VM 0 onto host 0.
-        let mut c = cluster(3);
-        let vms: Vec<VmId> = (0..2).map(|i| c.submit_job(job(i, 100))).collect();
+        // Setup 1: two identical queued VMs on three identical empty
+        // hosts: every feasible cell ties on Δ (= −∞ from the virtual
+        // host) AND on the raw target score, so the winner must be the
+        // lowest (column, row) pair — VM 0 onto host 0.
+        //
+        // Setup 2: same Δ (−∞), different raw target scores: a bigger VM
+        // fills a host further, so its cell is more negative
+        // (P_pwr = C_e − O·C_f) and must win even from a *higher* column
+        // index — the raw-value tie-break outranks column order.
+        //
+        // The engine's first move is its first sweep's argmin; the
+        // reference solver must agree move-for-move on both setups.
         let cfg = ScoreConfig::sb0();
-        let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vms.clone());
-        let mut matrix = crate::matrix::ScoreMatrix::new(&mut eval);
-        assert_eq!(
-            matrix.best_move(&[false, false]),
-            Some((0, 0)),
-            "full tie must fall to lowest column, then lowest row"
-        );
-
-        // Same Δ (−∞), different raw target scores: a bigger VM fills a
-        // host further, so its cell is more negative (P_pwr = C_e − O·C_f)
-        // and must win even from a *higher* column index — the raw-value
-        // tie-break outranks column order.
-        let mut c = cluster(3);
-        let small = c.submit_job(job(10, 100)); // to = 20 − 0.25·40 = 10
-        let big = c.submit_job(job(11, 200)); // to = 20 − 0.50·40 = 0
-        let cfg = ScoreConfig::sb0();
-        let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vec![small, big]);
-        let mut matrix = crate::matrix::ScoreMatrix::new(&mut eval);
-        assert_eq!(
-            matrix.best_move(&[false, false]),
-            Some((1, 0)),
-            "more negative raw score beats lower column index"
-        );
-
-        // The reference solver must agree move-for-move on both setups.
-        for (mk, expect) in [
-            (vec![(0u64, 100u32), (1, 100)], (0usize, 0usize)),
-            (vec![(10, 100), (11, 200)], (1, 0)),
+        for (mk, expect, why) in [
+            (
+                vec![(0u64, 100u32), (1, 100)],
+                (0usize, 0usize),
+                "full tie must fall to lowest column, then lowest row",
+            ),
+            (
+                // small: to = 20 − 0.25·40 = 10; big: to = 20 − 0.50·40 = 0
+                vec![(10, 100), (11, 200)],
+                (1, 0),
+                "more negative raw score beats lower column index",
+            ),
         ] {
             let mut c = cluster(3);
             let vms: Vec<VmId> = mk
                 .iter()
                 .map(|&(id, cpu)| c.submit_job(job(id, cpu)))
                 .collect();
+            let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vms.clone());
+            assert_eq!(solve(&mut eval, 1).moves, vec![expect], "{why}");
             let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vms);
             let sol = solve_reference(&mut eval, 1);
             assert_eq!(sol.moves, vec![expect]);
@@ -379,13 +317,7 @@ mod tests {
         assert!(full.moves.len() >= 2, "need a multi-move case: {full:?}");
         for budget in [1u64, 50, 200, 1000, 5000] {
             let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vms.clone());
-            let mut matrix = crate::matrix::ScoreMatrix::new(&mut eval);
-            matrix.set_work_budget(budget);
-            let sol = crate::solver::solve_matrix_at(
-                &mut matrix,
-                100,
-                crate::budget::DegradeLevel::L0Full,
-            );
+            let sol = budgeted(&mut eval, budget).solution;
             assert_eq!(
                 sol.moves,
                 full.moves[..sol.moves.len()],
@@ -408,7 +340,7 @@ mod tests {
         let sol = solve(&mut eval, 100);
         assert_eq!(sol.moves, legacy.moves);
         assert!(!sol.budget_exhausted);
-        assert_eq!(sol.degrade, crate::budget::DegradeLevel::L0Full);
+        assert_eq!(sol.degrade, DegradeLevel::L0Full);
     }
 
     #[test]
@@ -417,15 +349,13 @@ mod tests {
         let vms: Vec<VmId> = (0..10).map(|i| c.submit_job(job(i, 150))).collect();
         let cfg = ScoreConfig::sb();
         let mut eval = crate::eval::Eval::new(&c, &cfg, t(0), vms);
-        let mut matrix = crate::matrix::ScoreMatrix::new(&mut eval);
-        matrix.set_work_budget(1);
-        let sol =
-            crate::solver::solve_matrix_at(&mut matrix, 100, crate::budget::DegradeLevel::L0Full);
-        // Budget 1 allows the first sweep (check happens before work is
-        // spent), then stops: at most one move, flagged exhausted.
-        assert!(sol.budget_exhausted);
-        assert!(sol.moves.len() <= 1, "{sol:?}");
-        assert!(matrix.work_spent() >= 1);
+        let out = budgeted(&mut eval, 1);
+        // Budget 1 allows the engine build (the check happens before work
+        // is spent), whose 2·m·n charge exhausts it before the first
+        // sweep: at most one move, flagged exhausted.
+        assert!(out.solution.budget_exhausted);
+        assert!(out.solution.moves.len() <= 1, "{out:?}");
+        assert!(out.work_spent >= 1);
     }
 
     #[test]

@@ -102,10 +102,10 @@ fn without_degrade_mode_nothing_is_parked() {
     assert_eq!(runner.vms_parked(), 0);
 }
 
-/// The one-sweep slack bound on budget overshoot: the solver checks the
-/// meter between sweeps, so a round can overshoot by at most the initial
-/// lazy fill (m·n) plus the first column-best scan (m·n), one argmin (n),
-/// one challenge (n) and one column recompute (m).
+/// The one-step slack bound on budget overshoot: the solver checks the
+/// meter before the engine build and between sweeps, so a round can
+/// overshoot by at most the build (2·m·n) or one later sweep
+/// (m·n + 5n) — both ≤ 2·m·n + 2n + m for m ≥ 3.
 fn slack(hosts: usize, vms: usize) -> u64 {
     (2 * hosts * vms + 2 * vms + hosts) as u64
 }
