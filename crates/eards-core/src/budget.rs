@@ -18,7 +18,7 @@
 //! ladder (see `ScoreScheduler` and DESIGN.md §14); it lives here so the
 //! solver can tag a [`Solution`](crate::Solution) with the rung it ran at.
 
-use eards_sim::{Persist, PersistError, Reader, Writer};
+use eards_sim::persist_enum;
 
 /// Saturating counter of deterministic solver work units against a budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,26 +135,12 @@ impl DegradeLevel {
     }
 }
 
-impl Persist for DegradeLevel {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            DegradeLevel::L0Full => 0,
-            DegradeLevel::L1QueueOnly => 1,
-            DegradeLevel::L2Greedy => 2,
-            DegradeLevel::L3Defer => 3,
-        });
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(DegradeLevel::L0Full),
-            1 => Ok(DegradeLevel::L1QueueOnly),
-            2 => Ok(DegradeLevel::L2Greedy),
-            3 => Ok(DegradeLevel::L3Defer),
-            t => Err(PersistError::Corrupt(format!("bad DegradeLevel tag {t}"))),
-        }
-    }
-}
+persist_enum!(DegradeLevel {
+    0 => L0Full,
+    1 => L1QueueOnly,
+    2 => L2Greedy,
+    3 => L3Defer,
+});
 
 /// Overload-control knobs for `ScoreScheduler`.
 ///
@@ -206,6 +192,7 @@ impl OverloadControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eards_sim::{Persist, Reader, Writer};
 
     #[test]
     fn unlimited_meter_never_exhausts() {

@@ -16,7 +16,7 @@ use eards_model::{
     ShardSpec, VmId, VmState,
 };
 use eards_obs::{Obs, ObsEvent};
-use eards_sim::{Persist, PersistError, Reader, Writer};
+use eards_sim::{persist_struct, Persist, PersistError, Reader, Writer};
 
 use crate::budget::{DegradeLevel, OverloadControl, WorkMeter};
 use crate::config::ScoreConfig;
@@ -117,21 +117,11 @@ impl Default for DegradeState {
     }
 }
 
-impl Persist for DegradeState {
-    fn persist(&self, w: &mut Writer) {
-        self.rung.persist(w);
-        w.put_f64(self.work_ewma);
-        w.put_bool(self.last_exhausted);
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(DegradeState {
-            rung: DegradeLevel::restore(r)?,
-            work_ewma: r.get_f64()?,
-            last_exhausted: r.get_bool()?,
-        })
-    }
-}
+persist_struct!(DegradeState {
+    rung,
+    work_ewma,
+    last_exhausted,
+});
 
 impl ScoreScheduler {
     /// Creates a scheduler with the given configuration.

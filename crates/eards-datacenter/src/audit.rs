@@ -8,7 +8,7 @@
 //! example).
 
 use eards_model::{HostId, VmId};
-use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
+use eards_sim::{persist_enum, persist_struct, SimTime};
 
 /// What happened.
 #[derive(Debug, Clone, PartialEq)]
@@ -219,219 +219,33 @@ impl AuditEvent {
     }
 }
 
-impl Persist for AuditKind {
-    fn persist(&self, w: &mut Writer) {
-        match self {
-            AuditKind::JobArrived { vm } => {
-                w.put_u8(0);
-                vm.persist(w);
-            }
-            AuditKind::CreationStarted { vm, host } => {
-                w.put_u8(1);
-                vm.persist(w);
-                host.persist(w);
-            }
-            AuditKind::VmStarted { vm, host } => {
-                w.put_u8(2);
-                vm.persist(w);
-                host.persist(w);
-            }
-            AuditKind::MigrationStarted { vm, from, to } => {
-                w.put_u8(3);
-                vm.persist(w);
-                from.persist(w);
-                to.persist(w);
-            }
-            AuditKind::MigrationFinished { vm, to } => {
-                w.put_u8(4);
-                vm.persist(w);
-                to.persist(w);
-            }
-            AuditKind::JobCompleted { vm, satisfaction } => {
-                w.put_u8(5);
-                vm.persist(w);
-                w.put_f64(*satisfaction);
-            }
-            AuditKind::CheckpointTaken { vm } => {
-                w.put_u8(6);
-                vm.persist(w);
-            }
-            AuditKind::HostPoweringOn { host } => {
-                w.put_u8(7);
-                host.persist(w);
-            }
-            AuditKind::HostOn { host } => {
-                w.put_u8(8);
-                host.persist(w);
-            }
-            AuditKind::HostPoweringOff { host } => {
-                w.put_u8(9);
-                host.persist(w);
-            }
-            AuditKind::CreationFailed { vm, host } => {
-                w.put_u8(10);
-                vm.persist(w);
-                host.persist(w);
-            }
-            AuditKind::MigrationAborted { vm, from, to } => {
-                w.put_u8(11);
-                vm.persist(w);
-                from.persist(w);
-                to.persist(w);
-            }
-            AuditKind::HostFailed { host, displaced } => {
-                w.put_u8(12);
-                host.persist(w);
-                w.put_usize(*displaced);
-            }
-            AuditKind::BootFailed { host } => {
-                w.put_u8(13);
-                host.persist(w);
-            }
-            AuditKind::SlowdownStarted { host, factor } => {
-                w.put_u8(14);
-                host.persist(w);
-                w.put_f64(*factor);
-            }
-            AuditKind::SlowdownEnded { host } => {
-                w.put_u8(15);
-                host.persist(w);
-            }
-            AuditKind::RackOutage { rack, failed } => {
-                w.put_u8(16);
-                w.put_usize(*rack);
-                w.put_usize(*failed);
-            }
-            AuditKind::HostBlacklisted { host, crashes } => {
-                w.put_u8(17);
-                host.persist(w);
-                w.put_u32(*crashes);
-            }
-            AuditKind::HostRepaired { host } => {
-                w.put_u8(18);
-                host.persist(w);
-            }
-            AuditKind::LambdaAdjusted { lambda_min } => {
-                w.put_u8(19);
-                w.put_f64(*lambda_min);
-            }
-            AuditKind::VmParked { vm, attempts } => {
-                w.put_u8(20);
-                vm.persist(w);
-                w.put_u32(*attempts);
-            }
-            AuditKind::VmUnparked { vm } => {
-                w.put_u8(21);
-                vm.persist(w);
-            }
-            AuditKind::BlacklistCleared { host } => {
-                w.put_u8(22);
-                host.persist(w);
-            }
-        }
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => AuditKind::JobArrived {
-                vm: VmId::restore(r)?,
-            },
-            1 => AuditKind::CreationStarted {
-                vm: VmId::restore(r)?,
-                host: HostId::restore(r)?,
-            },
-            2 => AuditKind::VmStarted {
-                vm: VmId::restore(r)?,
-                host: HostId::restore(r)?,
-            },
-            3 => AuditKind::MigrationStarted {
-                vm: VmId::restore(r)?,
-                from: HostId::restore(r)?,
-                to: HostId::restore(r)?,
-            },
-            4 => AuditKind::MigrationFinished {
-                vm: VmId::restore(r)?,
-                to: HostId::restore(r)?,
-            },
-            5 => AuditKind::JobCompleted {
-                vm: VmId::restore(r)?,
-                satisfaction: r.get_f64()?,
-            },
-            6 => AuditKind::CheckpointTaken {
-                vm: VmId::restore(r)?,
-            },
-            7 => AuditKind::HostPoweringOn {
-                host: HostId::restore(r)?,
-            },
-            8 => AuditKind::HostOn {
-                host: HostId::restore(r)?,
-            },
-            9 => AuditKind::HostPoweringOff {
-                host: HostId::restore(r)?,
-            },
-            10 => AuditKind::CreationFailed {
-                vm: VmId::restore(r)?,
-                host: HostId::restore(r)?,
-            },
-            11 => AuditKind::MigrationAborted {
-                vm: VmId::restore(r)?,
-                from: HostId::restore(r)?,
-                to: HostId::restore(r)?,
-            },
-            12 => AuditKind::HostFailed {
-                host: HostId::restore(r)?,
-                displaced: r.get_usize()?,
-            },
-            13 => AuditKind::BootFailed {
-                host: HostId::restore(r)?,
-            },
-            14 => AuditKind::SlowdownStarted {
-                host: HostId::restore(r)?,
-                factor: r.get_f64()?,
-            },
-            15 => AuditKind::SlowdownEnded {
-                host: HostId::restore(r)?,
-            },
-            16 => AuditKind::RackOutage {
-                rack: r.get_usize()?,
-                failed: r.get_usize()?,
-            },
-            17 => AuditKind::HostBlacklisted {
-                host: HostId::restore(r)?,
-                crashes: r.get_u32()?,
-            },
-            18 => AuditKind::HostRepaired {
-                host: HostId::restore(r)?,
-            },
-            19 => AuditKind::LambdaAdjusted {
-                lambda_min: r.get_f64()?,
-            },
-            20 => AuditKind::VmParked {
-                vm: VmId::restore(r)?,
-                attempts: r.get_u32()?,
-            },
-            21 => AuditKind::VmUnparked {
-                vm: VmId::restore(r)?,
-            },
-            22 => AuditKind::BlacklistCleared {
-                host: HostId::restore(r)?,
-            },
-            t => return Err(PersistError::Corrupt(format!("bad AuditKind tag {t}"))),
-        })
-    }
-}
+persist_enum!(AuditKind {
+    0 => JobArrived { vm },
+    1 => CreationStarted { vm, host },
+    2 => VmStarted { vm, host },
+    3 => MigrationStarted { vm, from, to },
+    4 => MigrationFinished { vm, to },
+    5 => JobCompleted { vm, satisfaction },
+    6 => CheckpointTaken { vm },
+    7 => HostPoweringOn { host },
+    8 => HostOn { host },
+    9 => HostPoweringOff { host },
+    10 => CreationFailed { vm, host },
+    11 => MigrationAborted { vm, from, to },
+    12 => HostFailed { host, displaced },
+    13 => BootFailed { host },
+    14 => SlowdownStarted { host, factor },
+    15 => SlowdownEnded { host },
+    16 => RackOutage { rack, failed },
+    17 => HostBlacklisted { host, crashes },
+    18 => HostRepaired { host },
+    19 => LambdaAdjusted { lambda_min },
+    20 => VmParked { vm, attempts },
+    21 => VmUnparked { vm },
+    22 => BlacklistCleared { host },
+});
 
-impl Persist for AuditEvent {
-    fn persist(&self, w: &mut Writer) {
-        self.at.persist(w);
-        self.kind.persist(w);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(AuditEvent {
-            at: SimTime::restore(r)?,
-            kind: AuditKind::restore(r)?,
-        })
-    }
-}
+persist_struct!(AuditEvent { at, kind });
 
 /// Renders a whole log, one line per event.
 pub fn render_log(events: &[AuditEvent]) -> String {

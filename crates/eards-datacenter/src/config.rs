@@ -2,7 +2,7 @@
 
 use eards_model::{FaultPlan, HostClass, HostId, HostSpec, ShardSpec};
 use eards_obs::Obs;
-use eards_sim::{Persist, PersistError, Reader, SimDuration, Writer};
+use eards_sim::{persist_enum, SimDuration};
 
 /// How aggressively the invariant auditor runs (see
 /// [`crate::InvariantAuditor`]).
@@ -228,23 +228,7 @@ impl RunConfig {
     }
 }
 
-impl Persist for AuditorMode {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            AuditorMode::Off => 0,
-            AuditorMode::On => 1,
-            AuditorMode::Strict => 2,
-        });
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(AuditorMode::Off),
-            1 => Ok(AuditorMode::On),
-            2 => Ok(AuditorMode::Strict),
-            t => Err(PersistError::Corrupt(format!("bad AuditorMode tag {t}"))),
-        }
-    }
-}
+persist_enum!(AuditorMode { 0 => Off, 1 => On, 2 => Strict });
 
 /// The paper's evaluation datacenter (§V): 100 nodes — 15 fast, 50 medium,
 /// 35 slow (classes differ in creation/migration overheads).

@@ -184,15 +184,25 @@ impl FaultEngine {
 /// per-class RNG stream. Re-deriving the streams from the seed on restore
 /// would rewind them to the start of the run and replay already-consumed
 /// fault decisions; the stream states themselves must travel.
+// lint:allow(SNAP001): restore validates that exactly the plan's enabled fault classes carry streams
 impl Persist for FaultEngine {
     fn persist(&self, w: &mut Writer) {
-        self.plan.persist(w);
-        self.crash.persist(w);
-        self.boot.persist(w);
-        self.create.persist(w);
-        self.migrate.persist(w);
-        self.slowdown.persist(w);
-        self.rack.persist(w);
+        let FaultEngine {
+            plan,
+            crash,
+            boot,
+            create,
+            migrate,
+            slowdown,
+            rack,
+        } = self;
+        plan.persist(w);
+        crash.persist(w);
+        boot.persist(w);
+        create.persist(w);
+        migrate.persist(w);
+        slowdown.persist(w);
+        rack.persist(w);
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let e = FaultEngine {

@@ -22,7 +22,7 @@
 //! (used by the CI chaos smoke run).
 
 use eards_model::{Cluster, ShardMap};
-use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
+use eards_sim::{persist_struct, SimTime};
 
 use crate::config::AuditorMode;
 
@@ -42,7 +42,6 @@ pub struct InvariantAuditor {
     /// holds the number of the last pass (`checks`) that found the VM
     /// resident, so passes need no clearing. Pass numbers start at 1, so
     /// a fresh zeroed slot never matches.
-    // lint:allow(SNAP001): per-pass scratch; pass numbers only grow, so an empty table is valid after restore
     seen: Vec<u64>,
     /// Rack-aligned partition to validate when the policy runs the
     /// sharded solver: the light pass additionally checks that the map
@@ -50,10 +49,8 @@ pub struct InvariantAuditor {
     /// counts sum to the global placed count (no VM slips between
     /// shards). Not persisted — the runner re-derives it from the run
     /// configuration after a restore.
-    // lint:allow(SNAP001): re-armed by the runner via set_shard_map after restore
     shard_map: Option<ShardMap>,
     /// Per-shard resident counters, recycled across light passes.
-    // lint:allow(SNAP001): scratch buffer, resized on first use after restore
     shard_scratch: Vec<u64>,
 }
 
@@ -189,27 +186,19 @@ impl InvariantAuditor {
     }
 }
 
-/// Canonical state: mode and counters. The `seen` table is per-pass
-/// scratch (stamped with the pass number) and is rebuilt empty.
-impl Persist for InvariantAuditor {
-    fn persist(&self, w: &mut Writer) {
-        self.mode.persist(w);
-        w.put_u64(self.checks);
-        w.put_u64(self.violations);
-        self.messages.persist(w);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(InvariantAuditor {
-            mode: AuditorMode::restore(r)?,
-            checks: r.get_u64()?,
-            violations: r.get_u64()?,
-            messages: Vec::restore(r)?,
-            seen: Vec::new(),
-            shard_map: None,
-            shard_scratch: Vec::new(),
-        })
-    }
-}
+// Canonical state: mode and counters. The `seen` table is per-pass
+// scratch (pass numbers only grow, so an empty table is valid), the shard
+// map is re-armed by the runner via `set_shard_map`, and the per-shard
+// counters are resized on first use.
+persist_struct!(InvariantAuditor {
+    mode,
+    checks,
+    violations,
+    messages,
+    skip seen = Vec::new(),
+    skip shard_map = None,
+    skip shard_scratch = Vec::new(),
+});
 
 #[cfg(test)]
 mod tests {

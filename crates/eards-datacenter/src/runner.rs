@@ -17,7 +17,7 @@
 //!
 //! [`ScoreScheduler`]: eards_core::ScoreScheduler
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use eards_metrics::{
     delay_pct, satisfaction, FaultStats, JobOutcome, RunReport, TimeSeries, TimeWeighted,
@@ -28,8 +28,8 @@ use eards_model::{
 };
 use eards_obs::{FaultKind, HistId, Obs, ObsEvent, PowerFlipKind, RecoveryKind};
 use eards_sim::{
-    read_header, write_header, EventHandle, Persist, PersistError, Reader, SimDuration, SimRng,
-    SimTime, Simulator, Writer,
+    persist_enum, persist_struct, read_header, write_header, EventHandle, Persist, PersistError,
+    Reader, SimDuration, SimRng, SimTime, Simulator, Writer,
 };
 use eards_workload::Trace;
 
@@ -90,109 +90,30 @@ enum Event {
     CheckpointTick,
 }
 
-/// Canonical state: the pending-event payloads of a mid-flight run. Every
-/// variant gets a stable tag byte; adding a variant appends a tag (and
-/// bumps [`eards_sim::SNAPSHOT_VERSION`] if an existing tag moves).
-impl Persist for Event {
-    fn persist(&self, w: &mut Writer) {
-        match *self {
-            Event::JobArrival(idx) => {
-                w.put_u8(0);
-                w.put_usize(idx);
-            }
-            Event::CreationDone(vm, seq) => {
-                w.put_u8(1);
-                vm.persist(w);
-                w.put_u64(seq);
-            }
-            Event::MigrationDone(vm, seq) => {
-                w.put_u8(2);
-                vm.persist(w);
-                w.put_u64(seq);
-            }
-            Event::CheckpointDone(vm, seq) => {
-                w.put_u8(3);
-                vm.persist(w);
-                w.put_u64(seq);
-            }
-            Event::JobCompletion(vm) => {
-                w.put_u8(4);
-                vm.persist(w);
-            }
-            Event::BootDone(h) => {
-                w.put_u8(5);
-                h.persist(w);
-            }
-            Event::ShutdownDone(h) => {
-                w.put_u8(6);
-                h.persist(w);
-            }
-            Event::HostFailure(h) => {
-                w.put_u8(7);
-                h.persist(w);
-            }
-            Event::HostRepaired(h) => {
-                w.put_u8(8);
-                h.persist(w);
-            }
-            Event::CreationAborted(vm, seq) => {
-                w.put_u8(9);
-                vm.persist(w);
-                w.put_u64(seq);
-            }
-            Event::MigrationAborted(vm, seq) => {
-                w.put_u8(10);
-                vm.persist(w);
-                w.put_u64(seq);
-            }
-            Event::SlowdownStart(h) => {
-                w.put_u8(11);
-                h.persist(w);
-            }
-            Event::SlowdownEnd(h) => {
-                w.put_u8(12);
-                h.persist(w);
-            }
-            Event::RackOutage(r) => {
-                w.put_u8(13);
-                w.put_usize(r);
-            }
-            Event::RetryRelease(vm) => {
-                w.put_u8(14);
-                vm.persist(w);
-            }
-            Event::SlaCheck => w.put_u8(15),
-            Event::ConsolidationTick => w.put_u8(16),
-            Event::LambdaAdjust => w.put_u8(17),
-            Event::CheckpointTick => w.put_u8(18),
-        }
-    }
-
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(match r.get_u8()? {
-            0 => Event::JobArrival(r.get_usize()?),
-            1 => Event::CreationDone(VmId::restore(r)?, r.get_u64()?),
-            2 => Event::MigrationDone(VmId::restore(r)?, r.get_u64()?),
-            3 => Event::CheckpointDone(VmId::restore(r)?, r.get_u64()?),
-            4 => Event::JobCompletion(VmId::restore(r)?),
-            5 => Event::BootDone(HostId::restore(r)?),
-            6 => Event::ShutdownDone(HostId::restore(r)?),
-            7 => Event::HostFailure(HostId::restore(r)?),
-            8 => Event::HostRepaired(HostId::restore(r)?),
-            9 => Event::CreationAborted(VmId::restore(r)?, r.get_u64()?),
-            10 => Event::MigrationAborted(VmId::restore(r)?, r.get_u64()?),
-            11 => Event::SlowdownStart(HostId::restore(r)?),
-            12 => Event::SlowdownEnd(HostId::restore(r)?),
-            13 => Event::RackOutage(r.get_usize()?),
-            14 => Event::RetryRelease(VmId::restore(r)?),
-            15 => Event::SlaCheck,
-            16 => Event::ConsolidationTick,
-            17 => Event::LambdaAdjust,
-            18 => Event::CheckpointTick,
-            t => return Err(PersistError::Corrupt(format!("bad Event tag {t}"))),
-        })
-    }
-}
+// Canonical state: the pending-event payloads of a mid-flight run. Every
+// variant gets a stable tag byte; adding a variant appends a tag (and
+// bumps `eards_sim::SNAPSHOT_VERSION` if an existing tag moves).
+persist_enum!(Event {
+    0 => JobArrival(idx),
+    1 => CreationDone(vm, seq),
+    2 => MigrationDone(vm, seq),
+    3 => CheckpointDone(vm, seq),
+    4 => JobCompletion(vm),
+    5 => BootDone(host),
+    6 => ShutdownDone(host),
+    7 => HostFailure(host),
+    8 => HostRepaired(host),
+    9 => CreationAborted(vm, seq),
+    10 => MigrationAborted(vm, seq),
+    11 => SlowdownStart(host),
+    12 => SlowdownEnd(host),
+    13 => RackOutage(rack),
+    14 => RetryRelease(vm),
+    15 => SlaCheck,
+    16 => ConsolidationTick,
+    17 => LambdaAdjust,
+    18 => CheckpointTick,
+});
 
 /// Snapshot of a run's progress, as reported by [`Runner::progress`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,8 +166,7 @@ pub struct Runner {
     crash_counts: Vec<u32>,
     /// When each currently-unrecovered VM was displaced or failed
     /// (cleared on successful restart; feeds time-to-recover).
-    // lint:allow(D001): keyed lookup/removal only, never iterated
-    displaced_at: HashMap<VmId, SimTime>,
+    displaced_at: BTreeMap<VmId, SimTime>,
     auditor: InvariantAuditor,
     fstats: FaultStats,
     recovery_total_secs: f64,
@@ -293,18 +213,7 @@ struct RetryState {
     eligible: SimTime,
 }
 
-impl Persist for RetryState {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u32(self.attempts);
-        self.eligible.persist(w);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(RetryState {
-            attempts: r.get_u32()?,
-            eligible: SimTime::restore(r)?,
-        })
-    }
-}
+persist_struct!(RetryState { attempts, eligible });
 
 /// The shard map the run configuration implies for a cluster of
 /// `num_hosts` — `None` unless the realized partition has at least two
@@ -372,7 +281,7 @@ impl Runner {
             parked: BTreeMap::new(),
             vms_parked: 0,
             crash_counts,
-            displaced_at: HashMap::new(),
+            displaced_at: BTreeMap::new(),
             auditor,
             fstats: FaultStats::default(),
             recovery_total_secs: 0.0,
@@ -643,23 +552,12 @@ impl Runner {
             .filter_map(|(i, h)| h.map(|h| (VmId(i as u64), h)))
             .collect();
         completion.persist(w);
-        let failure: Vec<(HostId, EventHandle)> =
-            self.failure_timer.iter().map(|(&k, &v)| (k, v)).collect();
-        failure.persist(w);
-        let slowdown: Vec<(HostId, EventHandle)> =
-            self.slowdown_timer.iter().map(|(&k, &v)| (k, v)).collect();
-        slowdown.persist(w);
+        self.failure_timer.persist(w);
+        self.slowdown_timer.persist(w);
         self.faults.persist(w);
-        // BTreeMap: already key-sorted, serialize in iteration order.
-        let retry: Vec<(VmId, RetryState)> = self.retry.iter().map(|(&k, &v)| (k, v)).collect();
-        retry.persist(w);
+        self.retry.persist(w);
         self.crash_counts.persist(w);
-        // Sorted so the byte stream never depends on hasher state.
-        let mut displaced: Vec<(VmId, SimTime)> =
-            // lint:allow(D001): collected then key-sorted before serializing
-            self.displaced_at.iter().map(|(&k, &v)| (k, v)).collect();
-        displaced.sort_by_key(|&(vm, _)| vm);
-        displaced.persist(w);
+        self.displaced_at.persist(w);
         self.auditor.persist(w);
         self.fstats.persist(w);
         w.put_f64(self.recovery_total_secs);
@@ -677,8 +575,7 @@ impl Runner {
         w.put_f64(self.lambda_min);
         self.audit.persist(w);
         self.sat_window.persist(w);
-        let parked: Vec<(VmId, SimTime)> = self.parked.iter().map(|(&k, &v)| (k, v)).collect();
-        parked.persist(w);
+        self.parked.persist(w);
         w.put_u64(self.vms_parked);
         self.cluster.persist(w);
         // Policy-private state rides in a length-prefixed block so the
@@ -714,14 +611,10 @@ impl Runner {
         self.rng = SimRng::restore(r)?;
         // Densified once the VM table it indexes has been restored.
         let completion = Vec::<(VmId, EventHandle)>::restore(r)?;
-        self.failure_timer = Vec::<(HostId, EventHandle)>::restore(r)?
-            .into_iter()
-            .collect();
-        self.slowdown_timer = Vec::<(HostId, EventHandle)>::restore(r)?
-            .into_iter()
-            .collect();
+        self.failure_timer = BTreeMap::restore(r)?;
+        self.slowdown_timer = BTreeMap::restore(r)?;
         self.faults = FaultEngine::restore(r)?;
-        self.retry = Vec::<(VmId, RetryState)>::restore(r)?.into_iter().collect();
+        self.retry = BTreeMap::restore(r)?;
         self.crash_counts = Vec::restore(r)?;
         if self.crash_counts.len() != self.cluster.num_hosts() {
             return Err(PersistError::Corrupt(format!(
@@ -730,7 +623,7 @@ impl Runner {
                 self.cluster.num_hosts()
             )));
         }
-        self.displaced_at = Vec::<(VmId, SimTime)>::restore(r)?.into_iter().collect();
+        self.displaced_at = BTreeMap::restore(r)?;
         self.auditor = InvariantAuditor::restore(r)?;
         self.fstats = FaultStats::restore(r)?;
         self.recovery_total_secs = r.get_f64()?;
@@ -748,7 +641,7 @@ impl Runner {
         self.lambda_min = r.get_f64()?;
         self.audit = Vec::restore(r)?;
         self.sat_window = eards_metrics::Summary::restore(r)?;
-        self.parked = Vec::<(VmId, SimTime)>::restore(r)?.into_iter().collect();
+        self.parked = BTreeMap::restore(r)?;
         self.vms_parked = r.get_u64()?;
         self.cluster = Cluster::restore(r)?;
         self.completion = vec![None; self.cluster.num_vms()];

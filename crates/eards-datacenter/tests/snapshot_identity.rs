@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use eards_core::{OverloadControl, ScoreConfig, ScoreScheduler};
 use eards_datacenter::{render_log, small_datacenter, AuditEvent, AuditorMode, RunConfig, Runner};
 use eards_metrics::RunReport;
-use eards_model::{FaultPlan, HostClass, HostSpec, Policy};
+use eards_model::{FaultPlan, HostClass, HostSpec, Policy, ShardSpec};
 use eards_obs::Obs;
 use eards_sim::SimDuration;
 use eards_workload::{generate, SynthConfig, Trace};
@@ -284,4 +284,80 @@ fn snapshot_after_completion_resumes_to_the_same_report() {
     assert!(!resumed.step_batch());
     let (r1, a1) = resumed.finish();
     assert_eq!(fingerprint(&r0, &a0), fingerprint(&r1, &a1));
+}
+
+/// FNV-1a, 64-bit: a stable, dependency-free digest of snapshot bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the exact snapshot bytes of two small deterministic worlds at
+/// three batch boundaries each: a chaos world (SB, `FaultPlan::chaos(1.0)`,
+/// auditor On, audit log, power series, periodic checkpoints) and an
+/// overload world (budgeted sharded SB+ext, degradation ladder, parking
+/// backpressure, heavy chaos). Between them they reach every codec in the
+/// runner's snapshot: hosts in every power state, in-flight operations,
+/// every VM state, fault-engine timers, the auditor, the degradation
+/// ladder and the shard cursor.
+///
+/// The other tests in this file prove a snapshot round-trips; this one
+/// proves the *encoding* does not drift. Any change to these digests or
+/// lengths is a snapshot-format change and requires a `SNAPSHOT_VERSION`
+/// bump in `eards-sim::persist` (and re-recording the values below).
+#[test]
+fn snapshot_bytes_are_pinned() {
+    fn digests(mut run: Runner, at: [usize; 3]) -> Vec<(u64, usize)> {
+        let mut out = Vec::new();
+        let mut batches = 0;
+        for stop in at {
+            while batches < stop {
+                assert!(run.step_batch(), "world ended before batch {stop}");
+                batches += 1;
+            }
+            let bytes = run.snapshot().unwrap();
+            out.push((fnv1a64(&bytes), bytes.len()));
+        }
+        out
+    }
+
+    let obs = Obs::disabled();
+    let (h, t) = world(12, 48, 2024);
+    let mut cfg = config(7, 1.0, &obs);
+    cfg.checkpoint_period = Some(SimDuration::from_hours(2));
+    let chaos = Runner::new(h, t, Box::new(ScoreScheduler::new(ScoreConfig::sb())), cfg);
+
+    let (h, t) = world(12, 48, 2025);
+    let overload = Runner::new(
+        h,
+        t,
+        Box::new(
+            ScoreScheduler::new(ScoreConfig::full())
+                .with_overload(OverloadControl::with_budget(2_000))
+                .with_shards(ShardSpec::with_count(3)),
+        ),
+        degraded_config(11, &obs),
+    );
+
+    let got = [
+        digests(chaos, [40, 400, 1200]),
+        digests(overload, [40, 400, 1200]),
+    ];
+    let want = [
+        vec![
+            (0xe301f46ca1e10ffc, 61358),
+            (0x7e43b26b70516a86, 80765),
+            (0x3986a9c62b1617d4, 142828),
+        ],
+        vec![
+            (0xe5dfa02353d718a3, 63588),
+            (0xbf82db57643c7939, 80633),
+            (0xfbffbd1505fcdade, 139820),
+        ],
+    ];
+    assert_eq!(
+        got, want,
+        "snapshot encoding drifted; bump SNAPSHOT_VERSION"
+    );
 }

@@ -1,7 +1,7 @@
 // D005 negative: a clean Persist impl (sim-time state only), plus a
 // wall-clock read *outside* any Persist impl, which in this allowlisted
 // crate (eards-obs) is D002-clean and out of D005's scope.
-impl Persist for Span {
+impl Persist for Span { // lint:allow(SNAP001): hand-written on purpose, the fixture is about codec bodies
     fn persist(&self, w: &mut Writer) {
         w.put_u64(self.started.as_millis());
     }

@@ -1,7 +1,7 @@
 // D005 positive: wall-clock / ambient-randomness state captured inside an
 // `impl Persist` block. Linted under an eards-obs path, where D002's
 // allowlist would otherwise let the wall clock through — D005 still fires.
-impl Persist for Span {
+impl Persist for Span { // lint:allow(SNAP001): hand-written on purpose, the fixture is about codec bodies
     fn persist(&self, w: &mut Writer) {
         let t0 = std::time::Instant::now();
         let wall = std::time::SystemTime::now();

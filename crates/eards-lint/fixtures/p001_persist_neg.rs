@@ -2,7 +2,7 @@
 // OUTSIDE any `impl Persist` body in a non-sim crate — the whole-file
 // rule is scoped to sim-affecting crates, so only codec bodies count
 // here.
-impl Persist for Counters {
+impl Persist for Counters { // lint:allow(SNAP001): hand-written on purpose, the fixture is about codec bodies
     fn persist(&self, w: &mut Writer) {
         w.put_len(self.values.len());
         for v in &self.values {

@@ -3,7 +3,7 @@
 // whole-file P001 does not apply — codec bodies still draw findings
 // (a panicking codec loses the run it checkpoints; cf. the put_len
 // `expect` that motivated the rule extension).
-impl Persist for Counters {
+impl Persist for Counters { // lint:allow(SNAP001): hand-written on purpose, the fixture is about codec bodies
     fn persist(&self, w: &mut Writer) {
         let n = u32::try_from(self.values.len()).expect("fits");
         w.put_u32(n);

@@ -530,9 +530,9 @@ mod tests {
 
     #[test]
     fn shift_operators_are_single_char_puncts() {
-        // The item parser's angle-depth tracker counts `<`/`>` one
-        // character at a time, so `>>` closing two generic lists (or a
-        // shift in a const expression) must never lex as one token.
+        // Rules match punctuation one character at a time (`::` is two
+        // `:` tokens, `HashMap <` opens a generic list), so `>>` closing
+        // two generic lists (or a shift) must never lex as one token.
         for src in [
             "Vec<Vec<u32>>",
             "a >> b",

@@ -16,7 +16,9 @@
 //! | `D005` | wall-clock / ambient-randomness APIs inside an `impl Persist` block |
 //! | `P001` | `unwrap`/`expect`/`panic!`/literal indexing in sim library code |
 //! | `C001` | raw float↔int `as` casts in `SimTime` arithmetic |
+//! | `SNAP001` | hand-written `impl Persist` without a reason the codec macros do not fit |
 //! | `S001` | `lint:allow` marker missing its mandatory reason |
+//! | `S002` | stale `lint:allow`: its rule fires nothing on the covered lines |
 //!
 //! Suppression is inline and *reasoned*:
 //! `// lint:allow(D001): key-lookup only, never iterated` — covering the
@@ -30,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod items;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -39,18 +40,14 @@ pub mod source;
 use std::path::{Path, PathBuf};
 
 pub use baseline::{Baseline, BaselineOutcome};
-pub use items::{ItemIndex, Items, TypeShape};
 pub use rules::{Finding, RuleId};
 pub use source::SourceFile;
 
 /// Lints one file given its workspace-relative `path` (which drives crate
-/// attribution — see [`source::crate_of`]) and contents. The semantic
-/// rules resolve `impl Persist` targets against this file only; use
-/// [`lint_workspace`] for cross-file resolution.
+/// attribution — see [`source::crate_of`]) and contents. Every rule is
+/// file-local.
 pub fn lint_source(path: &str, text: &str) -> Vec<Finding> {
-    let f = SourceFile::parse(path, text);
-    let index = ItemIndex::build(std::iter::once(&f));
-    rules::check_file(&f, &index)
+    rules::check_file(&SourceFile::parse(path, text))
 }
 
 /// The result of linting a file tree.
@@ -92,13 +89,8 @@ pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Lints every `.rs` file in the workspace rooted at `root`.
-///
-/// Two passes: every file is parsed first so the [`ItemIndex`] spans the
-/// whole workspace, then the rules run per file — which is what lets
-/// `SNAP001`/`SNAP002` check an `impl Persist for T` against a `struct T`
-/// declared in a different file.
 pub fn lint_workspace(root: &Path) -> std::io::Result<LintRun> {
-    let mut parsed = Vec::new();
+    let mut run = LintRun::default();
     for path in workspace_files(root)? {
         let text = std::fs::read_to_string(&path)?;
         let rel = path
@@ -106,15 +98,8 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<LintRun> {
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        parsed.push(SourceFile::parse(&rel, &text));
-    }
-    let index = ItemIndex::build(parsed.iter());
-    let mut run = LintRun {
-        files: parsed.len(),
-        findings: Vec::new(),
-    };
-    for f in &parsed {
-        run.findings.extend(rules::check_file(f, &index));
+        run.files += 1;
+        run.findings.extend(lint_source(&rel, &text));
     }
     report::sort_findings(&mut run.findings);
     Ok(run)
@@ -167,62 +152,27 @@ fn f(s: &S) -> u32 {
     }
 
     #[test]
-    fn workspace_index_resolves_cross_file_persist_targets() {
-        // Scratch workspace: the struct and its codec live in different
-        // files, so only the two-pass ItemIndex can see the field list.
-        let root = std::env::temp_dir().join(format!("eards-lint-xfile-{}", std::process::id()));
-        let src_dir = root.join("crates/eards-model/src");
-        std::fs::create_dir_all(&src_dir).unwrap();
-        std::fs::write(
-            src_dir.join("def.rs"),
-            "pub struct Remote {\n    pub alpha: u64,\n    pub beta: u64,\n}\n",
-        )
-        .unwrap();
-        std::fs::write(
-            src_dir.join("codec.rs"),
-            "impl Persist for Remote {\n\
-             \x20   fn persist(&self, w: &mut Writer) {\n\
-             \x20       w.put_u64(self.alpha);\n\
-             \x20   }\n\
-             \x20   fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {\n\
-             \x20       Ok(Remote { alpha: r.get_u64()?, beta: 0 })\n\
-             \x20   }\n\
-             }\n",
-        )
-        .unwrap();
-        // A name defined in two files is Ambiguous: its incomplete codec
-        // must draw nothing rather than guess a field list.
-        std::fs::write(src_dir.join("dup_a.rs"), "pub struct Dup { pub x: u64 }\n").unwrap();
-        std::fs::write(src_dir.join("dup_b.rs"), "pub struct Dup { pub y: u64 }\n").unwrap();
-        std::fs::write(
-            src_dir.join("dup_codec.rs"),
-            "impl Persist for Dup {\n\
-             \x20   fn persist(&self, _w: &mut Writer) {}\n\
-             \x20   fn restore(_r: &mut Reader<'_>) -> Result<Self, PersistError> { todo!() }\n\
-             }\n",
-        )
-        .unwrap();
-
-        let run = lint_workspace(&root).unwrap();
-        std::fs::remove_dir_all(&root).ok();
-
-        let snap: Vec<_> = run
-            .findings
+    fn hand_written_codecs_need_a_reasoned_allow_outside_the_codec_module() {
+        let src = "\
+impl Persist for Bare {
+    fn persist(&self, _w: &mut Writer) {}
+}
+// lint:allow(SNAP001): restore validates the table
+impl Persist for Checked {
+    fn persist(&self, _w: &mut Writer) {}
+}
+";
+        let fs = lint_source("crates/eards-metrics/src/x.rs", src);
+        let snap: Vec<u32> = fs
             .iter()
             .filter(|f| f.rule == RuleId::SNAP001)
+            .map(|f| f.line)
             .collect();
-        assert_eq!(snap.len(), 1, "only Remote::beta is uncovered: {snap:?}");
-        assert_eq!(snap[0].path, "crates/eards-model/src/codec.rs");
-        // Cross-file targets anchor on the impl header, not the distant field.
-        assert_eq!(snap[0].line, 1);
-        assert!(snap[0].message.contains("`beta`"), "{}", snap[0].message);
-        assert!(
-            snap[0].message.contains("restored but never persisted"),
-            "{}",
-            snap[0].message
-        );
-        // The filter above also proves no SNAP001 was invented for the
-        // ambiguous Dup despite its plainly incomplete codec.
+        assert_eq!(snap, [1], "only the unexplained impl fires");
+        assert!(fs.iter().all(|f| f.rule != RuleId::S002), "{fs:?}");
+        // The codec module's own primitive impls are exempt.
+        let fs = lint_source("crates/eards-sim/src/persist.rs", src);
+        assert!(fs.iter().all(|f| f.rule != RuleId::SNAP001), "{fs:?}");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! `HashMap` iteration order or a NaN-panicking float sort would silently
 //! break the bit-identical reproduction of the paper's tables.
 
-use crate::items::{ItemIndex, TypeShape};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
@@ -39,17 +38,13 @@ pub enum RuleId {
     /// `as` casts between float and integer in `SimTime`/`SimDuration`
     /// arithmetic: go through the rounding/clamping conversion helpers.
     C001,
-    /// Persist field-coverage: a named field of `T` missing from the
-    /// `persist` or `restore` body of `impl Persist for T` (or present in
-    /// only one direction — write/read asymmetry). A forgotten field
-    /// silently breaks the snapshot-identity guarantee every replay test
-    /// stands on. Transient rebuilt-on-restore state carries a reasoned
-    /// `lint:allow(SNAP001)` on its field declaration.
+    /// Hand-written `impl Persist` outside `eards-sim/src/persist.rs`.
+    /// Codecs are derived with `persist_struct!`/`persist_enum!`, whose
+    /// exhaustive destructure and full struct literal make rustc reject a
+    /// forgotten field or variant; a hand-written impl gets no such check,
+    /// so it needs a reasoned `lint:allow(SNAP001)` on its header saying
+    /// why the macros do not fit.
     SNAP001,
-    /// Codec enum-tag exhaustiveness: a variant of `E` missing from the
-    /// `persist` or `restore` body of `impl Persist for E` — a new
-    /// variant without a tag arm in both directions corrupts snapshots.
-    SNAP002,
     /// Malformed suppression: `lint:allow` without a mandatory reason, or
     /// naming an unknown rule. Never suppressible, never baselined.
     S001,
@@ -70,7 +65,6 @@ impl RuleId {
         RuleId::P001,
         RuleId::C001,
         RuleId::SNAP001,
-        RuleId::SNAP002,
         RuleId::S001,
         RuleId::S002,
     ];
@@ -86,7 +80,6 @@ impl RuleId {
             RuleId::P001 => "P001",
             RuleId::C001 => "C001",
             RuleId::SNAP001 => "SNAP001",
-            RuleId::SNAP002 => "SNAP002",
             RuleId::S001 => "S001",
             RuleId::S002 => "S002",
         }
@@ -111,12 +104,8 @@ impl RuleId {
             }
             RuleId::C001 => "raw float<->int `as` cast in SimTime arithmetic",
             RuleId::SNAP001 => {
-                "struct field missing from a persist/restore body of its \
-                 impl Persist (snapshot drops or asymmetric codec)"
-            }
-            RuleId::SNAP002 => {
-                "enum variant missing a tag arm in a persist/restore body \
-                 of its impl Persist"
+                "hand-written impl Persist without a reason the persist_struct!/\
+                 persist_enum! macros do not fit"
             }
             RuleId::S001 => "lint:allow marker without the mandatory reason",
             RuleId::S002 => "stale lint:allow: its rule fires nothing on the covered lines",
@@ -149,10 +138,8 @@ pub struct Finding {
 /// Two stages: the rules first record *raw* findings (ignoring
 /// suppressions), then suppression filtering happens here — which is what
 /// lets `S002` see the difference between an allow that covers a real
-/// finding and one that covers nothing. `index` is the workspace type
-/// index the semantic rules resolve cross-file `impl Persist` targets
-/// against; for single-file linting, build it over just that file.
-pub fn check_file(f: &SourceFile, index: &ItemIndex) -> Vec<Finding> {
+/// finding and one that covers nothing.
+pub fn check_file(f: &SourceFile) -> Vec<Finding> {
     let mut raw = Vec::new();
     d001_map_iteration(f, &mut raw);
     d002_wall_clock(f, &mut raw);
@@ -161,8 +148,7 @@ pub fn check_file(f: &SourceFile, index: &ItemIndex) -> Vec<Finding> {
     d005_wall_state_in_persist(f, &mut raw);
     p001_panic_hazards(f, &mut raw);
     c001_simtime_casts(f, &mut raw);
-    snap001_field_coverage(f, index, &mut raw);
-    snap002_tag_exhaustiveness(f, index, &mut raw);
+    snap001_hand_written_codecs(f, &mut raw);
     let mut out: Vec<Finding> = raw
         .iter()
         .filter(|fd| !f.suppressed(fd.rule, fd.line))
@@ -434,20 +420,11 @@ fn d004_partial_cmp_unwrap(f: &SourceFile, out: &mut Vec<Finding>) {
 const D005_FORBIDDEN: &[&str] = &["Instant", "SystemTime", "thread_rng"];
 
 /// Token-index ranges (inclusive, body brace to body brace) of every
-/// `impl … Persist for …` block in the file, read off the item parser
-/// (`impl<T: Persist> Persist for Vec<T>` still qualifies — generic
-/// parameter lists are skipped before the trait path is read). Shared by
-/// D005 (wall state in codecs) and P001 (panic hazards in codecs outside
-/// the sim-affecting crates). Note macro template bodies are opaque to
-/// the item parser, so `impl Persist for $t` inside `macro_rules!` is
-/// (correctly) not a range.
+/// `impl … Persist for …` block in the file (see
+/// [`SourceFile::persist_impls`]). Shared by D005 (wall state in codecs)
+/// and P001 (panic hazards in codecs outside the sim-affecting crates).
 fn persist_impl_ranges(f: &SourceFile) -> Vec<(usize, usize)> {
-    f.items
-        .impls
-        .iter()
-        .filter(|i| i.trait_name.as_deref() == Some("Persist"))
-        .map(|i| i.body)
-        .collect()
+    f.persist_impls.iter().map(|i| i.body).collect()
 }
 
 /// D005 — wall-clock or ambient-randomness APIs inside an `impl Persist`
@@ -619,162 +596,33 @@ fn c001_simtime_casts(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// True if any code token in `body` (inclusive brace-to-brace range) is
-/// an identifier spelled `name`. This is deliberately name-level, not
-/// flow-level: `self.load.persist(w)`, a restore struct-literal key
-/// `load:`, or a local `let load = …` all count as coverage. The rules
-/// trade a few theoretical false negatives (a shadowing local) for zero
-/// false positives on every codec style in this workspace.
-fn body_mentions(f: &SourceFile, body: (usize, usize), name: &str) -> bool {
-    (body.0..=body.1).any(|ci| f.ct_is(ci, name))
-}
+/// The codec module itself: its primitive and container impls are the
+/// codec, not codecs derived from a type's fields.
+const CODEC_FILE: &str = "eards-sim/src/persist.rs";
 
-/// The `persist`/`restore` method bodies of an `impl Persist`, if both
-/// are present (an impl missing either is not a codec — e.g. a fixture
-/// exercising an unrelated trait of the same name — and is skipped).
-fn codec_bodies(imp: &crate::items::ImplDef) -> Option<((usize, usize), (usize, usize))> {
-    Some((imp.method("persist")?.body, imp.method("restore")?.body))
-}
-
-/// Resolves the target type of `impl Persist for T`: the same file first
-/// (every real codec in this workspace sits beside its type), then the
-/// workspace index; ambiguous or unknown names resolve to `None` and the
-/// semantic rules stay silent (scalar impls like `Persist for u64`,
-/// std containers, macro expansions).
-enum ResolvedTarget<'a> {
-    /// Struct defined in this file — findings anchor on field lines.
-    LocalStruct(&'a crate::items::StructDef),
-    /// Enum defined in this file — findings anchor on variant lines.
-    LocalEnum(&'a crate::items::EnumDef),
-    /// Shape known only via the index — findings anchor on the impl line.
-    Indexed(&'a TypeShape),
-}
-
-fn resolve_target<'a>(
-    f: &'a SourceFile,
-    index: &'a ItemIndex,
-    name: &str,
-) -> Option<ResolvedTarget<'a>> {
-    if let Some(sd) = f.items.struct_def(name) {
-        return Some(ResolvedTarget::LocalStruct(sd));
+/// SNAP001 — hand-written codecs. Every `impl Persist` outside the codec
+/// module draws a finding on its header unless a reasoned
+/// `lint:allow(SNAP001)` there says why `persist_struct!`/`persist_enum!`
+/// do not fit (typically: `restore` validates, or the bytes are not the
+/// fields in order). The macros make rustc check field and variant
+/// coverage; this rule keeps the list of impls outside that check short
+/// and explained, and S002 flags an allow whose impl has gone.
+fn snap001_hand_written_codecs(f: &SourceFile, out: &mut Vec<Finding>) {
+    if f.path.ends_with(CODEC_FILE) {
+        return;
     }
-    if let Some(ed) = f.items.enum_def(name) {
-        return Some(ResolvedTarget::LocalEnum(ed));
-    }
-    match index.shape(name)? {
-        TypeShape::Ambiguous => None,
-        shape => Some(ResolvedTarget::Indexed(shape)),
-    }
-}
-
-/// Formats the shared "which direction is missing" tail of a SNAP
-/// diagnostic. `in_w`/`in_r` cannot both be true when this is called.
-fn snap_direction(in_w: bool, in_r: bool) -> &'static str {
-    match (in_w, in_r) {
-        (false, false) => "appears in neither `persist` nor `restore`",
-        (true, false) => "is persisted but never restored (write/read asymmetry)",
-        (false, true) => "is restored but never persisted (write/read asymmetry)",
-        (true, true) => unreachable!("caller emits only on missing coverage"),
-    }
-}
-
-/// SNAP001 — Persist field-coverage. For every `impl Persist for T` where
-/// `T` is a braced struct the analyzer can resolve, every named field
-/// must be mentioned in *both* the `persist` and the `restore` body.
-/// A field missing from both silently vanishes from snapshots; a field
-/// in only one direction is a codec asymmetry that corrupts the read
-/// framing. Transient rebuilt-on-restore state carries a reasoned
-/// `lint:allow(SNAP001)` on its field declaration (local types) or on
-/// the impl header (cross-file types).
-fn snap001_field_coverage(f: &SourceFile, index: &ItemIndex, out: &mut Vec<Finding>) {
-    for imp in &f.items.impls {
-        if imp.trait_name.as_deref() != Some("Persist") || f.in_test_code(imp.line) {
+    for imp in &f.persist_impls {
+        if f.in_test_code(imp.line) {
             continue;
         }
-        let Some(ty) = imp.type_name.as_deref() else {
-            continue;
-        };
-        let Some((w_body, r_body)) = codec_bodies(imp) else {
-            continue;
-        };
-        // (field name, anchor line) pairs for the resolved struct shape.
-        let fields: Vec<(String, u32)> = match resolve_target(f, index, ty) {
-            Some(ResolvedTarget::LocalStruct(sd)) if sd.named => sd
-                .fields
-                .iter()
-                .map(|fd| (fd.name.clone(), fd.line))
-                .collect(),
-            Some(ResolvedTarget::Indexed(TypeShape::Struct {
-                fields,
-                named: true,
-            })) => fields.iter().map(|n| (n.clone(), imp.line)).collect(),
-            _ => continue, // enum (SNAP002's job), tuple/unit, unresolved
-        };
-        for (name, line) in fields {
-            let in_w = body_mentions(f, w_body, &name);
-            let in_r = body_mentions(f, r_body, &name);
-            if in_w && in_r {
-                continue;
-            }
-            emit(
-                f,
-                out,
-                RuleId::SNAP001,
-                line,
-                format!(
-                    "field `{name}` of `{ty}` {} in its impl Persist; persist+restore \
-                     it, or mark it transient with a reasoned lint:allow(SNAP001)",
-                    snap_direction(in_w, in_r)
-                ),
-            );
-        }
-    }
-}
-
-/// SNAP002 — codec enum-tag exhaustiveness. For every `impl Persist for
-/// E` where `E` is an enum the analyzer can resolve, every variant name
-/// must be mentioned in both the `persist` (tag write) and `restore`
-/// (tag match) bodies — the exact hole a newly added variant opens when
-/// only one direction grows an arm.
-fn snap002_tag_exhaustiveness(f: &SourceFile, index: &ItemIndex, out: &mut Vec<Finding>) {
-    for imp in &f.items.impls {
-        if imp.trait_name.as_deref() != Some("Persist") || f.in_test_code(imp.line) {
-            continue;
-        }
-        let Some(ty) = imp.type_name.as_deref() else {
-            continue;
-        };
-        let Some((w_body, r_body)) = codec_bodies(imp) else {
-            continue;
-        };
-        let variants: Vec<(String, u32)> = match resolve_target(f, index, ty) {
-            Some(ResolvedTarget::LocalEnum(ed)) => ed
-                .variants
-                .iter()
-                .map(|v| (v.name.clone(), v.line))
-                .collect(),
-            Some(ResolvedTarget::Indexed(TypeShape::Enum { variants })) => {
-                variants.iter().map(|n| (n.clone(), imp.line)).collect()
-            }
-            _ => continue,
-        };
-        for (name, line) in variants {
-            let in_w = body_mentions(f, w_body, &name);
-            let in_r = body_mentions(f, r_body, &name);
-            if in_w && in_r {
-                continue;
-            }
-            emit(
-                f,
-                out,
-                RuleId::SNAP002,
-                line,
-                format!(
-                    "variant `{name}` of `{ty}` {} in its impl Persist: add the tag \
-                     arm to both directions",
-                    snap_direction(in_w, in_r)
-                ),
-            );
-        }
+        emit(
+            f,
+            out,
+            RuleId::SNAP001,
+            imp.line,
+            "hand-written `impl Persist`: derive it with persist_struct!/persist_enum!, \
+             or say why they do not fit in a lint:allow(SNAP001) on this header"
+                .into(),
+        );
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! One [`SourceFile`] is built per `.rs` file: the token stream, which
 //! crate the file belongs to, which line ranges are test code, which
-//! identifiers are bound to `HashMap`/`HashSet` values, and the
-//! `lint:allow` suppressions in force.
+//! identifiers are bound to `HashMap`/`HashSet` values, where the
+//! `impl … Persist for …` blocks are, and the `lint:allow` suppressions
+//! in force.
 //!
 //! ## The suppression contract
 //!
@@ -18,7 +19,6 @@
 //! findings on the comment's own line (trailing form) and on the line
 //! directly below it (line-above form).
 
-use crate::items::{parse_items, Items};
 use crate::lexer::{lex, Token, TokenKind};
 use crate::rules::RuleId;
 
@@ -51,6 +51,16 @@ pub struct Suppression {
     pub has_reason: bool,
 }
 
+/// One `impl … Persist for …` block (generic impls included; templates
+/// inside `macro_rules!` are not impls and are skipped).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PersistImpl {
+    /// Line of the `impl` keyword (the header a `lint:allow` sits on).
+    pub line: u32,
+    /// Code-index range of the body, opening through closing brace.
+    pub body: (usize, usize),
+}
+
 /// A lexed file plus everything the rules need to know about it.
 pub struct SourceFile {
     /// Workspace-relative path, `/`-separated (e.g.
@@ -76,8 +86,8 @@ pub struct SourceFile {
     pub suppressions: Vec<Suppression>,
     /// Lines holding a malformed (reasonless) `lint:allow`.
     pub malformed_suppressions: Vec<u32>,
-    /// Item skeletons (structs, enums, impls) — see [`crate::items`].
-    pub items: Items,
+    /// Every `impl … Persist for …` block, in source order.
+    pub persist_impls: Vec<PersistImpl>,
 }
 
 impl SourceFile {
@@ -102,7 +112,7 @@ impl SourceFile {
             map_field_decls: Vec::new(),
             suppressions: Vec::new(),
             malformed_suppressions: Vec::new(),
-            items: Items::default(),
+            persist_impls: Vec::new(),
         };
         if is_test_path(path) {
             f.test_ranges.push((0, u32::MAX));
@@ -111,8 +121,7 @@ impl SourceFile {
         }
         f.find_map_bindings();
         f.find_suppressions();
-        let items = parse_items(&f);
-        f.items = items;
+        f.find_persist_impls();
         f
     }
 
@@ -156,6 +165,59 @@ impl SourceFile {
         self.ct(ci).is_some_and(|t| t.is_punct(c))
     }
 
+    /// Code index of the bracket closing the one opened at `open` (any of
+    /// `(`, `[`, `{`; balanced source is assumed), or `None` at end of
+    /// file.
+    fn matching_close(&self, open: usize) -> Option<usize> {
+        let mut depth = 0usize;
+        for ci in open..self.code.len() {
+            let t = self.ct(ci)?;
+            if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+                depth += 1;
+            } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    return Some(ci);
+                }
+            }
+        }
+        None
+    }
+
+    /// Records every `impl … Persist for … { … }` block: an `impl`
+    /// keyword whose header (everything up to the body brace) contains
+    /// `Persist` directly followed by `for`. That covers
+    /// `impl<T: Persist> Persist for Vec<T>` and path-qualified traits,
+    /// and skips `impl Trait` in type position. `macro_rules!` bodies are
+    /// stepped over: a template is not an impl.
+    fn find_persist_impls(&mut self) {
+        let n = self.code.len();
+        let mut i = 0;
+        while i < n {
+            if self.ct_is(i, "macro_rules") && self.ct_punct(i + 1, '!') {
+                i = self.matching_close(i + 3).map_or(n, |c| c + 1);
+                continue;
+            }
+            if self.ct_is(i, "impl") {
+                let mut j = i + 1;
+                let mut persist = false;
+                while j < n && !self.ct_punct(j, '{') && !self.ct_punct(j, ';') {
+                    persist |= self.ct_is(j, "Persist") && self.ct_is(j + 1, "for");
+                    j += 1;
+                }
+                if persist && self.ct_punct(j, '{') {
+                    if let (Some(t), Some(close)) = (self.ct(i), self.matching_close(j)) {
+                        self.persist_impls.push(PersistImpl {
+                            line: t.line,
+                            body: (j, close),
+                        });
+                    }
+                }
+            }
+            i += 1;
+        }
+    }
+
     /// Marks `#[cfg(test)] mod … { … }` bodies (attribute line through the
     /// matching closing brace) as test code. Other attributes between the
     /// `cfg(test)` and the `mod` keyword are tolerated.
@@ -180,20 +242,7 @@ impl SourceFile {
             let mut j = i + 7;
             while self.ct_punct(j, '#') && self.ct_punct(j + 1, '[') {
                 // Skip the balanced [...] of the attribute.
-                let mut depth = 0usize;
-                let mut k = j + 1;
-                while k < n {
-                    if self.ct_punct(k, '[') {
-                        depth += 1;
-                    } else if self.ct_punct(k, ']') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-                j = k + 1;
+                j = self.matching_close(j + 1).unwrap_or(n) + 1;
             }
             if self.ct_is(j, "mod") {
                 // Find the opening brace, then its match.
@@ -201,20 +250,8 @@ impl SourceFile {
                 while k < n && !self.ct_punct(k, '{') {
                     k += 1;
                 }
-                let mut depth = 0usize;
-                let mut end = k;
-                while end < n {
-                    if self.ct_punct(end, '{') {
-                        depth += 1;
-                    } else if self.ct_punct(end, '}') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    end += 1;
-                }
-                let end_line = self.ct(end.min(n - 1)).map(|t| t.line).unwrap_or(u32::MAX);
+                let end = self.matching_close(k).unwrap_or(n - 1);
+                let end_line = self.ct(end).map(|t| t.line).unwrap_or(u32::MAX);
                 self.test_ranges.push((start_line, end_line));
                 i = end + 1;
             } else {
@@ -496,14 +533,35 @@ y: HashMap<u32, u32>, // lint:allow(D001): trailing form
     #[test]
     fn one_comment_can_carry_markers_for_several_rules() {
         // Both markers cover the comment's line and the line below — the
-        // one-line form is how a field under two rules stays covered.
-        let src = "// lint:allow(D001): lookups only. lint:allow(SNAP001): rebuilt on restore\n\
+        // one-line form is how a line under two rules stays covered.
+        let src = "// lint:allow(D001): lookups only. lint:allow(P001): checked above\n\
                    m: HashMap<u32, u32>,\n";
         let f = SourceFile::parse("crates/eards-sim/src/x.rs", src);
         assert_eq!(f.suppressions.len(), 2);
         assert!(f.suppressed(RuleId::D001, 2));
-        assert!(f.suppressed(RuleId::SNAP001, 2));
+        assert!(f.suppressed(RuleId::P001, 2));
         assert!(f.malformed_suppressions.is_empty());
+    }
+
+    #[test]
+    fn persist_impls_are_found_by_header() {
+        let src = "\
+impl Persist for A {
+    fn persist(&self) {}
+}
+impl<T: Persist> eards_sim::Persist for Wrap<T> where T: Clone {}
+impl Display for A {}
+fn f(x: impl Persist) -> impl Iterator<Item = u8> { todo!() }
+macro_rules! m {
+    ($t:ty) => { impl Persist for $t {} };
+}
+";
+        let f = SourceFile::parse("crates/eards-sim/src/x.rs", src);
+        let lines: Vec<u32> = f.persist_impls.iter().map(|i| i.line).collect();
+        assert_eq!(lines, [1, 4], "headers, not trait-position or macro impls");
+        let (lo, hi) = f.persist_impls[0].body;
+        assert!(f.ct_punct(lo, '{') && f.ct_punct(hi, '}'));
+        assert_eq!(f.ct(hi).map(|t| t.line), Some(3));
     }
 
     #[test]

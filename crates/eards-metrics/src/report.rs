@@ -3,7 +3,7 @@
 //! average working/online nodes, CPU hours, power (kWh), client
 //! satisfaction `S`, delay, and migration count.
 
-use eards_sim::{Persist, PersistError, Reader, SimDuration, SimTime, Writer};
+use eards_sim::{persist_struct, SimDuration, SimTime};
 
 use crate::series::TimeSeries;
 use crate::summary::Summary;
@@ -63,63 +63,31 @@ pub struct FaultStats {
     pub invariant_violations: u64,
 }
 
-impl Persist for JobOutcome {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.job_id);
-        self.submitted.persist(w);
-        w.put_opt(&self.completed);
-        self.deadline.persist(w);
-        w.put_f64(self.satisfaction);
-        w.put_f64(self.delay_pct);
-        w.put_f64(self.cpu_hours);
-        w.put_f64(self.work_cpu_hours);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(JobOutcome {
-            job_id: r.get_u64()?,
-            submitted: SimTime::restore(r)?,
-            completed: r.get_opt()?,
-            deadline: SimDuration::restore(r)?,
-            satisfaction: r.get_f64()?,
-            delay_pct: r.get_f64()?,
-            cpu_hours: r.get_f64()?,
-            work_cpu_hours: r.get_f64()?,
-        })
-    }
-}
+persist_struct!(JobOutcome {
+    job_id,
+    submitted,
+    completed,
+    deadline,
+    satisfaction,
+    delay_pct,
+    cpu_hours,
+    work_cpu_hours,
+});
 
-impl Persist for FaultStats {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.boot_failures);
-        w.put_u64(self.creation_failures);
-        w.put_u64(self.migration_aborts);
-        w.put_u64(self.slowdown_episodes);
-        w.put_u64(self.rack_outages);
-        w.put_u64(self.retries_delayed);
-        w.put_u64(self.hosts_blacklisted);
-        w.put_u64(self.recoveries);
-        w.put_f64(self.mean_recovery_secs);
-        w.put_f64(self.max_recovery_secs);
-        w.put_u64(self.invariant_checks);
-        w.put_u64(self.invariant_violations);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(FaultStats {
-            boot_failures: r.get_u64()?,
-            creation_failures: r.get_u64()?,
-            migration_aborts: r.get_u64()?,
-            slowdown_episodes: r.get_u64()?,
-            rack_outages: r.get_u64()?,
-            retries_delayed: r.get_u64()?,
-            hosts_blacklisted: r.get_u64()?,
-            recoveries: r.get_u64()?,
-            mean_recovery_secs: r.get_f64()?,
-            max_recovery_secs: r.get_f64()?,
-            invariant_checks: r.get_u64()?,
-            invariant_violations: r.get_u64()?,
-        })
-    }
-}
+persist_struct!(FaultStats {
+    boot_failures,
+    creation_failures,
+    migration_aborts,
+    slowdown_episodes,
+    rack_outages,
+    retries_delayed,
+    hosts_blacklisted,
+    recoveries,
+    mean_recovery_secs,
+    max_recovery_secs,
+    invariant_checks,
+    invariant_violations,
+});
 
 /// Aggregated result of one simulation run.
 #[derive(Debug, Clone)]

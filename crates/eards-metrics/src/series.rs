@@ -6,7 +6,7 @@
 //! integrals (energy, CPU·hours) and time-weighted means (average working
 //! nodes) are computed without discretization error.
 
-use eards_sim::{Persist, PersistError, Reader, SimDuration, SimTime, Writer};
+use eards_sim::{persist_struct, Persist, PersistError, Reader, SimDuration, SimTime, Writer};
 
 /// One step of a piecewise-constant signal: `value` holds from `at` until
 /// the next point.
@@ -221,22 +221,13 @@ impl TimeWeighted {
     }
 }
 
-impl Persist for SeriesPoint {
-    fn persist(&self, w: &mut Writer) {
-        self.at.persist(w);
-        w.put_f64(self.value);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(SeriesPoint {
-            at: SimTime::restore(r)?,
-            value: r.get_f64()?,
-        })
-    }
-}
+persist_struct!(SeriesPoint { at, value });
 
+// lint:allow(SNAP001): restore rejects change points that are out of time order
 impl Persist for TimeSeries {
     fn persist(&self, w: &mut Writer) {
-        self.points.persist(w);
+        let TimeSeries { points } = self;
+        points.persist(w);
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let points: Vec<SeriesPoint> = Vec::restore(r)?;
@@ -251,22 +242,12 @@ impl Persist for TimeSeries {
     }
 }
 
-impl Persist for TimeWeighted {
-    fn persist(&self, w: &mut Writer) {
-        w.put_f64(self.value);
-        self.last_change.persist(w);
-        w.put_f64(self.integral);
-        self.started.persist(w);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(TimeWeighted {
-            value: r.get_f64()?,
-            last_change: SimTime::restore(r)?,
-            integral: r.get_f64()?,
-            started: SimTime::restore(r)?,
-        })
-    }
-}
+persist_struct!(TimeWeighted {
+    value,
+    last_change,
+    integral,
+    started,
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,6 @@
 //! Streaming summary statistics (Welford) and percentile helpers.
 
-use eards_sim::{Persist, PersistError, Reader, Writer};
+use eards_sim::persist_struct;
 
 /// Streaming mean / variance accumulator (Welford's algorithm), plus
 /// min/max. Numerically stable for long simulations.
@@ -90,24 +90,13 @@ impl Summary {
     }
 }
 
-impl Persist for Summary {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.n);
-        w.put_f64(self.mean);
-        w.put_f64(self.m2);
-        w.put_f64(self.min);
-        w.put_f64(self.max);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Summary {
-            n: r.get_u64()?,
-            mean: r.get_f64()?,
-            m2: r.get_f64()?,
-            min: r.get_f64()?,
-            max: r.get_f64()?,
-        })
-    }
-}
+persist_struct!(Summary {
+    n,
+    mean,
+    m2,
+    min,
+    max
+});
 
 /// Percentile of a sample set by linear interpolation (`q` in `[0, 1]`).
 /// Returns `None` for an empty slice. Sorts a copy; fine for report-time use.

@@ -6,7 +6,7 @@
 //! preconditions — an illegal transition is a simulator bug, not a
 //! recoverable condition.
 
-use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
+use eards_sim::{persist_struct, Persist, PersistError, Reader, SimTime, Writer};
 
 use crate::host::{HostSpec, InFlightOp, OpKind, PowerState};
 use crate::ids::{HostId, VmId};
@@ -777,31 +777,18 @@ impl Cluster {
     }
 }
 
-/// Canonical state: spec, power state, residency lists (order matters —
-/// allocation math iterates them), in-flight ops, and the fault-layer
-/// multipliers. Everything a host owns is canonical; nothing is rebuilt.
-impl Persist for Host {
-    fn persist(&self, w: &mut Writer) {
-        self.spec.persist(w);
-        self.power.persist(w);
-        self.resident.persist(w);
-        self.incoming.persist(w);
-        self.ops.persist(w);
-        w.put_f64(self.cpu_factor);
-        w.put_f64(self.reliability_penalty);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Host {
-            spec: HostSpec::restore(r)?,
-            power: PowerState::restore(r)?,
-            resident: Vec::restore(r)?,
-            incoming: Vec::restore(r)?,
-            ops: Vec::restore(r)?,
-            cpu_factor: r.get_f64()?,
-            reliability_penalty: r.get_f64()?,
-        })
-    }
-}
+// Canonical state: spec, power state, residency lists (order matters —
+// allocation math iterates them), in-flight ops, and the fault-layer
+// multipliers. Everything a host owns is canonical; nothing is rebuilt.
+persist_struct!(Host {
+    spec,
+    power,
+    resident,
+    incoming,
+    ops,
+    cpu_factor,
+    reliability_penalty,
+});
 
 /// The VM table is written as-is: it is already in [`VmId`] order. The
 /// next-id counter that follows it is the table length, kept in the byte
@@ -810,13 +797,20 @@ impl Persist for Host {
 /// disagrees with that counter, and then runs the full structural
 /// [`Cluster::verify`] pass, so a corrupt or hand-edited snapshot cannot
 /// smuggle in an inconsistent world state.
+// lint:allow(SNAP001): restore validates id order, the next-id cross-check and the full structural verify pass
 impl Persist for Cluster {
     fn persist(&self, w: &mut Writer) {
-        self.hosts.persist(w);
-        self.vms.persist(w);
-        self.queue.persist(w);
-        w.put_u64(self.vms.len() as u64);
-        w.put_u64(self.next_op_seq);
+        let Cluster {
+            hosts,
+            vms,
+            queue,
+            next_op_seq,
+        } = self;
+        hosts.persist(w);
+        vms.persist(w);
+        queue.persist(w);
+        w.put_u64(vms.len() as u64);
+        next_op_seq.persist(w);
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let hosts: Vec<Host> = Vec::restore(r)?;

@@ -15,7 +15,7 @@
 //! intervals see the same faults on it regardless of what else they
 //! randomize — the property the cross-policy determinism tests pin down.
 
-use eards_sim::{Persist, PersistError, Reader, SimDuration, Writer};
+use eards_sim::{persist_struct, SimDuration};
 
 /// Transient host slowdown: the host's effective CPU capacity drops to
 /// `factor` of nominal for `duration`, then recovers (thermal throttling,
@@ -223,81 +223,37 @@ impl FaultPlan {
     }
 }
 
-impl Persist for SlowdownPlan {
-    fn persist(&self, w: &mut Writer) {
-        self.mtbe.persist(w);
-        self.duration.persist(w);
-        w.put_f64(self.factor);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(SlowdownPlan {
-            mtbe: SimDuration::restore(r)?,
-            duration: SimDuration::restore(r)?,
-            factor: r.get_f64()?,
-        })
-    }
-}
+persist_struct!(SlowdownPlan {
+    mtbe,
+    duration,
+    factor
+});
 
-impl Persist for RackPlan {
-    fn persist(&self, w: &mut Writer) {
-        w.put_usize(self.rack_size);
-        self.mtbf.persist(w);
-        self.outage.persist(w);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(RackPlan {
-            rack_size: r.get_usize()?,
-            mtbf: SimDuration::restore(r)?,
-            outage: SimDuration::restore(r)?,
-        })
-    }
-}
+persist_struct!(RackPlan {
+    rack_size,
+    mtbf,
+    outage
+});
 
-impl Persist for RecoveryPolicy {
-    fn persist(&self, w: &mut Writer) {
-        self.base_backoff.persist(w);
-        self.max_backoff.persist(w);
-        w.put_u32(self.blacklist_after);
-        w.put_f64(self.blacklist_penalty);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(RecoveryPolicy {
-            base_backoff: SimDuration::restore(r)?,
-            max_backoff: SimDuration::restore(r)?,
-            blacklist_after: r.get_u32()?,
-            blacklist_penalty: r.get_f64()?,
-        })
-    }
-}
+persist_struct!(RecoveryPolicy {
+    base_backoff,
+    max_backoff,
+    blacklist_after,
+    blacklist_penalty,
+});
 
-impl Persist for FaultPlan {
-    fn persist(&self, w: &mut Writer) {
-        w.put_bool(self.host_crashes);
-        w.put_opt(&self.crash_mttf);
-        self.mttr.persist(w);
-        w.put_f64(self.boot_failure_prob);
-        w.put_f64(self.creation_failure_prob);
-        w.put_f64(self.migration_abort_prob);
-        w.put_opt(&self.slowdown);
-        w.put_opt(&self.rack);
-        self.recovery.persist(w);
-        w.put_opt(&self.seed);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(FaultPlan {
-            host_crashes: r.get_bool()?,
-            crash_mttf: r.get_opt()?,
-            mttr: SimDuration::restore(r)?,
-            boot_failure_prob: r.get_f64()?,
-            creation_failure_prob: r.get_f64()?,
-            migration_abort_prob: r.get_f64()?,
-            slowdown: r.get_opt()?,
-            rack: r.get_opt()?,
-            recovery: RecoveryPolicy::restore(r)?,
-            seed: r.get_opt()?,
-        })
-    }
-}
+persist_struct!(FaultPlan {
+    host_crashes,
+    crash_mttf,
+    mttr,
+    boot_failure_prob,
+    creation_failure_prob,
+    migration_abort_prob,
+    slowdown,
+    rack,
+    recovery,
+    seed,
+});
 
 #[cfg(test)]
 mod tests {

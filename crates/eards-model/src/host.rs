@@ -5,7 +5,7 @@
 //! `C_c` = 30 s, migration `C_m` = 40 s), 50 *medium* (40/60) and 35 *slow*
 //! (60/80). All are 4-way machines matching the testbed of §IV-A.
 
-use eards_sim::{Persist, PersistError, Reader, SimDuration, SimTime, Writer};
+use eards_sim::{persist_enum, persist_struct, SimDuration, SimTime};
 
 use crate::ids::{HostId, VmId};
 use crate::job::{Arch, Hypervisor, Requirements};
@@ -191,129 +191,41 @@ impl InFlightOp {
     }
 }
 
-impl Persist for HostClass {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            HostClass::Fast => 0,
-            HostClass::Medium => 1,
-            HostClass::Slow => 2,
-        });
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(HostClass::Fast),
-            1 => Ok(HostClass::Medium),
-            2 => Ok(HostClass::Slow),
-            t => Err(PersistError::Corrupt(format!("bad HostClass tag {t}"))),
-        }
-    }
-}
+persist_enum!(HostClass { 0 => Fast, 1 => Medium, 2 => Slow });
 
-impl Persist for HostSpec {
-    fn persist(&self, w: &mut Writer) {
-        self.id.persist(w);
-        self.class.persist(w);
-        self.cpu.persist(w);
-        self.mem.persist(w);
-        self.arch.persist(w);
-        self.hypervisor.persist(w);
-        w.put_f64(self.reliability);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(HostSpec {
-            id: HostId::restore(r)?,
-            class: HostClass::restore(r)?,
-            cpu: Cpu::restore(r)?,
-            mem: Mem::restore(r)?,
-            arch: Arch::restore(r)?,
-            hypervisor: Hypervisor::restore(r)?,
-            reliability: r.get_f64()?,
-        })
-    }
-}
+persist_struct!(HostSpec {
+    id,
+    class,
+    cpu,
+    mem,
+    arch,
+    hypervisor,
+    reliability,
+});
 
-impl Persist for PowerState {
-    fn persist(&self, w: &mut Writer) {
-        match self {
-            PowerState::Off => w.put_u8(0),
-            PowerState::Booting { ready_at } => {
-                w.put_u8(1);
-                ready_at.persist(w);
-            }
-            PowerState::On => w.put_u8(2),
-            PowerState::ShuttingDown { off_at } => {
-                w.put_u8(3);
-                off_at.persist(w);
-            }
-            PowerState::Failed => w.put_u8(4),
-        }
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(PowerState::Off),
-            1 => Ok(PowerState::Booting {
-                ready_at: SimTime::restore(r)?,
-            }),
-            2 => Ok(PowerState::On),
-            3 => Ok(PowerState::ShuttingDown {
-                off_at: SimTime::restore(r)?,
-            }),
-            4 => Ok(PowerState::Failed),
-            t => Err(PersistError::Corrupt(format!("bad PowerState tag {t}"))),
-        }
-    }
-}
+persist_enum!(PowerState {
+    0 => Off,
+    1 => Booting { ready_at },
+    2 => On,
+    3 => ShuttingDown { off_at },
+    4 => Failed,
+});
 
-impl Persist for OpKind {
-    fn persist(&self, w: &mut Writer) {
-        match self {
-            OpKind::Create => w.put_u8(0),
-            OpKind::MigrateIn { from } => {
-                w.put_u8(1);
-                from.persist(w);
-            }
-            OpKind::MigrateOut { to } => {
-                w.put_u8(2);
-                to.persist(w);
-            }
-            OpKind::Checkpoint => w.put_u8(3),
-        }
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(OpKind::Create),
-            1 => Ok(OpKind::MigrateIn {
-                from: HostId::restore(r)?,
-            }),
-            2 => Ok(OpKind::MigrateOut {
-                to: HostId::restore(r)?,
-            }),
-            3 => Ok(OpKind::Checkpoint),
-            t => Err(PersistError::Corrupt(format!("bad OpKind tag {t}"))),
-        }
-    }
-}
+persist_enum!(OpKind {
+    0 => Create,
+    1 => MigrateIn { from },
+    2 => MigrateOut { to },
+    3 => Checkpoint,
+});
 
-impl Persist for InFlightOp {
-    fn persist(&self, w: &mut Writer) {
-        self.vm.persist(w);
-        self.kind.persist(w);
-        self.started.persist(w);
-        self.ends.persist(w);
-        self.cpu_overhead.persist(w);
-        w.put_u64(self.seq);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(InFlightOp {
-            vm: VmId::restore(r)?,
-            kind: OpKind::restore(r)?,
-            started: SimTime::restore(r)?,
-            ends: SimTime::restore(r)?,
-            cpu_overhead: Cpu::restore(r)?,
-            seq: r.get_u64()?,
-        })
-    }
-}
+persist_struct!(InFlightOp {
+    vm,
+    kind,
+    started,
+    ends,
+    cpu_overhead,
+    seq,
+});
 
 #[cfg(test)]
 mod tests {

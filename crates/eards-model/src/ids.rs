@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use eards_sim::{Persist, PersistError, Reader, Writer};
+use eards_sim::persist_struct;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident($inner:ty), $prefix:literal) => {
@@ -53,32 +53,11 @@ id_type!(
     "j"
 );
 
-impl Persist for HostId {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u32(self.0);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(HostId(r.get_u32()?))
-    }
-}
+persist_struct!(HostId(raw));
 
-impl Persist for VmId {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.0);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(VmId(r.get_u64()?))
-    }
-}
+persist_struct!(VmId(raw));
 
-impl Persist for JobId {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.0);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(JobId(r.get_u64()?))
-    }
-}
+persist_struct!(JobId(raw));
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,7 @@
 //! user-estimated dedicated-machine runtime multiplied by a typology factor
 //! between 1.2 and 2.
 
-use eards_sim::{Persist, PersistError, Reader, SimDuration, SimTime, Writer};
+use eards_sim::{persist_enum, persist_struct, SimDuration, SimTime};
 
 use crate::ids::JobId;
 use crate::units::{Cpu, Mem, Resources};
@@ -138,81 +138,27 @@ impl Job {
     }
 }
 
-impl Persist for Arch {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            Arch::X86_64 => 0,
-            Arch::X86 => 1,
-            Arch::Ppc64 => 2,
-        });
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(Arch::X86_64),
-            1 => Ok(Arch::X86),
-            2 => Ok(Arch::Ppc64),
-            t => Err(PersistError::Corrupt(format!("bad Arch tag {t}"))),
-        }
-    }
-}
+persist_enum!(Arch { 0 => X86_64, 1 => X86, 2 => Ppc64 });
 
-impl Persist for Hypervisor {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            Hypervisor::Xen => 0,
-            Hypervisor::Kvm => 1,
-        });
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(Hypervisor::Xen),
-            1 => Ok(Hypervisor::Kvm),
-            t => Err(PersistError::Corrupt(format!("bad Hypervisor tag {t}"))),
-        }
-    }
-}
+persist_enum!(Hypervisor { 0 => Xen, 1 => Kvm });
 
-impl Persist for Requirements {
-    fn persist(&self, w: &mut Writer) {
-        w.put_opt(&self.arch);
-        w.put_opt(&self.hypervisor);
-        w.put_u32(self.min_host_cpus);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Requirements {
-            arch: r.get_opt()?,
-            hypervisor: r.get_opt()?,
-            min_host_cpus: r.get_u32()?,
-        })
-    }
-}
+persist_struct!(Requirements {
+    arch,
+    hypervisor,
+    min_host_cpus,
+});
 
-impl Persist for Job {
-    fn persist(&self, w: &mut Writer) {
-        self.id.persist(w);
-        self.submit.persist(w);
-        self.cpu.persist(w);
-        self.mem.persist(w);
-        self.dedicated.persist(w);
-        self.user_estimate.persist(w);
-        w.put_f64(self.deadline_factor);
-        self.requirements.persist(w);
-        w.put_f64(self.fault_tolerance);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Job {
-            id: JobId::restore(r)?,
-            submit: SimTime::restore(r)?,
-            cpu: Cpu::restore(r)?,
-            mem: Mem::restore(r)?,
-            dedicated: SimDuration::restore(r)?,
-            user_estimate: SimDuration::restore(r)?,
-            deadline_factor: r.get_f64()?,
-            requirements: Requirements::restore(r)?,
-            fault_tolerance: r.get_f64()?,
-        })
-    }
-}
+persist_struct!(Job {
+    id,
+    submit,
+    cpu,
+    mem,
+    dedicated,
+    user_estimate,
+    deadline_factor,
+    requirements,
+    fault_tolerance,
+});
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@
 //! snapshot/restore instead of being persisted wholesale. A `Persist`
 //! impl exists anyway for callers that embed a map in their own state.
 
-use eards_sim::{Persist, PersistError, Reader, Writer};
+use eards_sim::{persist_struct, Persist, PersistError, Reader, Writer};
 
 /// How a policy should shard the cluster: how many shards to aim for and
 /// the rack granularity boundaries must respect.
@@ -39,18 +39,7 @@ impl ShardSpec {
     }
 }
 
-impl Persist for ShardSpec {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u32(self.count);
-        w.put_u32(self.rack_size);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(ShardSpec {
-            count: r.get_u32()?,
-            rack_size: r.get_u32()?,
-        })
-    }
-}
+persist_struct!(ShardSpec { count, rack_size });
 
 /// A partition of `0..num_hosts` into contiguous rack-aligned ranges.
 ///
@@ -153,9 +142,11 @@ impl ShardMap {
     }
 }
 
+// lint:allow(SNAP001): restore validates the boundary vector before building the map
 impl Persist for ShardMap {
     fn persist(&self, w: &mut Writer) {
-        w.put_seq(&self.starts);
+        let ShardMap { starts } = self;
+        w.put_seq(starts);
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let starts = r.get_seq::<u32>()?;

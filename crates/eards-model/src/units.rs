@@ -14,7 +14,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
-use eards_sim::{Persist, PersistError, Reader, Writer};
+use eards_sim::persist_struct;
 
 /// CPU in percent points of one core (100 = one full core).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -185,36 +185,11 @@ impl fmt::Display for Resources {
     }
 }
 
-impl Persist for Cpu {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u32(self.0);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Cpu(r.get_u32()?))
-    }
-}
+persist_struct!(Cpu(points));
 
-impl Persist for Mem {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u32(self.0);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Mem(r.get_u32()?))
-    }
-}
+persist_struct!(Mem(mib));
 
-impl Persist for Resources {
-    fn persist(&self, w: &mut Writer) {
-        self.cpu.persist(w);
-        self.mem.persist(w);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Resources {
-            cpu: Cpu::restore(r)?,
-            mem: Mem::restore(r)?,
-        })
-    }
-}
+persist_struct!(Resources { cpu, mem });
 
 #[cfg(test)]
 mod tests {

@@ -5,7 +5,7 @@
 //! operation is in flight the score-based scheduler pins it with an
 //! infinite penalty (§III-A.3).
 
-use eards_sim::{Persist, PersistError, Reader, SimTime, Writer};
+use eards_sim::{persist_enum, persist_struct, SimTime};
 
 use crate::ids::{HostId, VmId};
 use crate::job::Job;
@@ -207,67 +207,29 @@ impl Vm {
     }
 }
 
-impl Persist for VmState {
-    fn persist(&self, w: &mut Writer) {
-        match self {
-            VmState::Queued => w.put_u8(0),
-            VmState::Creating => w.put_u8(1),
-            VmState::Running => w.put_u8(2),
-            VmState::Migrating { to } => {
-                w.put_u8(3);
-                to.persist(w);
-            }
-            VmState::Checkpointing => w.put_u8(4),
-            VmState::Finished => w.put_u8(5),
-        }
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        match r.get_u8()? {
-            0 => Ok(VmState::Queued),
-            1 => Ok(VmState::Creating),
-            2 => Ok(VmState::Running),
-            3 => Ok(VmState::Migrating {
-                to: HostId::restore(r)?,
-            }),
-            4 => Ok(VmState::Checkpointing),
-            5 => Ok(VmState::Finished),
-            t => Err(PersistError::Corrupt(format!("bad VmState tag {t}"))),
-        }
-    }
-}
+persist_enum!(VmState {
+    0 => Queued,
+    1 => Creating,
+    2 => Running,
+    3 => Migrating { to },
+    4 => Checkpointing,
+    5 => Finished,
+});
 
-impl Persist for Vm {
-    fn persist(&self, w: &mut Writer) {
-        self.id.persist(w);
-        self.job.persist(w);
-        self.requested.persist(w);
-        self.state.persist(w);
-        w.put_opt(&self.host);
-        w.put_f64(self.progress);
-        w.put_f64(self.alloc);
-        self.last_update.persist(w);
-        w.put_opt(&self.started_at);
-        w.put_opt(&self.completed_at);
-        w.put_u32(self.migrations);
-        w.put_opt(&self.checkpoint);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Vm {
-            id: VmId::restore(r)?,
-            job: Job::restore(r)?,
-            requested: Resources::restore(r)?,
-            state: VmState::restore(r)?,
-            host: r.get_opt()?,
-            progress: r.get_f64()?,
-            alloc: r.get_f64()?,
-            last_update: SimTime::restore(r)?,
-            started_at: r.get_opt()?,
-            completed_at: r.get_opt()?,
-            migrations: r.get_u32()?,
-            checkpoint: r.get_opt()?,
-        })
-    }
-}
+persist_struct!(Vm {
+    id,
+    job,
+    requested,
+    state,
+    host,
+    progress,
+    alloc,
+    last_update,
+    started_at,
+    completed_at,
+    migrations,
+    checkpoint,
+});
 
 #[cfg(test)]
 mod tests {

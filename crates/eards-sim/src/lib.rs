@@ -16,7 +16,8 @@
 //!   `fork` for decorrelated per-subsystem streams.
 //! * [`Persist`] — the snapshot trait and its versioned, length-prefixed
 //!   binary codec ([`Writer`] / [`Reader`]), so a run can be checkpointed
-//!   and resumed bit-identically.
+//!   and resumed bit-identically; [`persist_struct!`] / [`persist_enum!`]
+//!   derive an impl that names each field or variant once.
 //!
 //! Everything above the engine (hosts, VMs, power) lives in `eards-model`;
 //! everything in the paper's evaluation (policies, the score-based

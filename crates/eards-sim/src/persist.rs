@@ -23,7 +23,29 @@
 //! restore; each implementer documents its split. Snapshot code must be
 //! deterministic: no wall-clock reads, no ambient RNGs (lint rule `D005`
 //! enforces this inside `impl Persist` blocks).
+//!
+//! ## Deriving codecs
+//!
+//! Types whose bytes are their fields in order implement [`Persist`]
+//! through two macros, so every field or variant is named exactly once and
+//! the compiler checks coverage in both directions:
+//!
+//! * [`persist_struct!`](crate::persist_struct) writes through an
+//!   exhaustive destructure (`let T { a, b } = self;`, no `..`) and
+//!   restores through a full struct literal — a field missing from the
+//!   list fails to compile on both sides. Transient fields are named with
+//!   a `skip field = <rebuild expr>` arm.
+//! * [`persist_enum!`](crate::persist_enum) declares each `u8` tag once;
+//!   writing is an exhaustive `match`, and an unknown tag restores to
+//!   [`PersistError::Corrupt`] naming the type.
+//!
+//! Hand-written impls remain only where `restore` validates its input or
+//! the layout is not field-for-field; outside this module each one
+//! carries a reasoned `lint:allow(SNAP001)` saying why the macros do not
+//! fit, and still destructures exhaustively in `persist` and builds a
+//! full literal in `restore`.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
@@ -435,6 +457,160 @@ pub fn write_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()>
     Ok(())
 }
 
+/// Implements [`Persist`] for a struct by naming each field once.
+///
+/// `persist_struct!(T { a, b, c })` writes `a`, `b`, `c` in the listed
+/// order through an exhaustive destructure and restores them through a
+/// full struct literal, each field's type inferred from the declaration.
+/// Tuple structs list one binding per position (`persist_struct!(Id(raw))`).
+/// A transient field is named with a trailing `skip field = <expr>` arm:
+/// it is written as nothing and rebuilt from `<expr>` on restore.
+///
+/// ```
+/// use eards_sim::{persist_struct, Persist, Reader, Writer};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Gauge { level: u32, history: Vec<f64>, scratch: Vec<u8> }
+/// persist_struct!(Gauge { level, history, skip scratch = Vec::new() });
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tag(u64);
+/// persist_struct!(Tag(raw));
+///
+/// let g = Gauge { level: 3, history: vec![0.5], scratch: vec![9] };
+/// let mut w = Writer::new();
+/// g.persist(&mut w);
+/// Tag(7).persist(&mut w);
+/// let bytes = w.into_bytes().unwrap();
+/// let mut r = Reader::new(&bytes);
+/// let back = Gauge::restore(&mut r).unwrap();
+/// assert_eq!(back, Gauge { scratch: vec![], ..g });
+/// assert_eq!(Tag::restore(&mut r).unwrap(), Tag(7));
+/// ```
+///
+/// A field left out of the list is a compile error, not a silently
+/// dropped field:
+///
+/// ```compile_fail,E0027
+/// use eards_sim::persist_struct;
+///
+/// struct Gauge { level: u32, history: Vec<f64>, scratch: Vec<u8> }
+/// persist_struct!(Gauge { level, skip scratch = Vec::new() }); // no `history`
+/// ```
+#[macro_export]
+macro_rules! persist_struct {
+    ($t:ident ( $($f:ident),+ $(,)? )) => {
+        impl $crate::Persist for $t {
+            fn persist(&self, w: &mut $crate::Writer) {
+                let $t($($f),+) = self;
+                $($crate::Persist::persist($f, w);)+
+            }
+            fn restore(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::PersistError> {
+                ::core::result::Result::Ok($t($({
+                    let $f = $crate::Persist::restore(r)?;
+                    $f
+                }),+))
+            }
+        }
+    };
+    ($t:ident { $($body:tt)* }) => {
+        $crate::persist_struct!(@fields $t [] [] $($body)*);
+    };
+    (@fields $t:ident [$($f:ident)*] [$($s:ident = $e:expr;)*]
+        skip $sn:ident = $se:expr $(, $($rest:tt)*)?) => {
+        $crate::persist_struct!(@fields $t [$($f)*] [$($s = $e;)* $sn = $se;] $($($rest)*)?);
+    };
+    (@fields $t:ident [$($f:ident)*] [$($s:ident = $e:expr;)*]
+        $fname:ident $(, $($rest:tt)*)?) => {
+        $crate::persist_struct!(@fields $t [$($f)* $fname] [$($s = $e;)*] $($($rest)*)?);
+    };
+    (@fields $t:ident [$($f:ident)*] [$($s:ident = $e:expr;)*]) => {
+        impl $crate::Persist for $t {
+            fn persist(&self, w: &mut $crate::Writer) {
+                let $t { $($f,)* $($s: _,)* } = self;
+                $($crate::Persist::persist($f, w);)*
+            }
+            fn restore(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::PersistError> {
+                ::core::result::Result::Ok($t {
+                    $($f: $crate::Persist::restore(r)?,)*
+                    $($s: $e,)*
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Persist`] for an enum by declaring each variant's `u8`
+/// tag once for both directions.
+///
+/// `persist_enum!(T { 0 => A, 1 => B { x }, 2 => C(p, q) })` writes the
+/// tag, then the variant's fields in the listed order. Writing is an
+/// exhaustive `match`, so a variant left out is a compile error; reading
+/// an undeclared tag is [`PersistError::Corrupt`] naming the type.
+///
+/// ```
+/// use eards_sim::{persist_enum, Persist, PersistError, Reader, Writer};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Op { Idle, Move { to: u32 }, Copy(u32, u64) }
+/// persist_enum!(Op { 0 => Idle, 1 => Move { to }, 2 => Copy(from, bytes) });
+///
+/// let mut w = Writer::new();
+/// Op::Copy(4, 1 << 20).persist(&mut w);
+/// let bytes = w.into_bytes().unwrap();
+/// assert_eq!(Op::restore(&mut Reader::new(&bytes)).unwrap(), Op::Copy(4, 1 << 20));
+/// assert_eq!(
+///     Op::restore(&mut Reader::new(&[9])).unwrap_err(),
+///     PersistError::Corrupt("bad Op tag 9".into()),
+/// );
+/// ```
+///
+/// A variant left out is a compile error:
+///
+/// ```compile_fail,E0004
+/// use eards_sim::persist_enum;
+///
+/// enum Op { Idle, Move { to: u32 }, Copy(u32, u64) }
+/// persist_enum!(Op { 0 => Idle, 1 => Move { to } }); // `Copy` has no tag
+/// ```
+#[macro_export]
+macro_rules! persist_enum {
+    ($t:ident {
+        $($tag:literal => $v:ident $(($($p:ident),* $(,)?))? $({$($f:ident),* $(,)?})?),+ $(,)?
+    }) => {
+        impl $crate::Persist for $t {
+            fn persist(&self, w: &mut $crate::Writer) {
+                match self {
+                    $($t::$v $(($($p),*))? $({$($f),*})? => {
+                        w.put_u8($tag);
+                        $($($crate::Persist::persist($p, w);)*)?
+                        $($($crate::Persist::persist($f, w);)*)?
+                    })+
+                }
+            }
+            fn restore(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::PersistError> {
+                match r.get_u8()? {
+                    $($tag => ::core::result::Result::Ok($t::$v
+                        $(($({
+                            let $p = $crate::Persist::restore(r)?;
+                            $p
+                        }),*))?
+                        $({$($f: $crate::Persist::restore(r)?),*})?),)+
+                    t => ::core::result::Result::Err($crate::PersistError::Corrupt(
+                        ::std::format!("bad {} tag {t}", ::core::stringify!($t)),
+                    )),
+                }
+            }
+        }
+    };
+}
+
 macro_rules! persist_via {
     ($t:ty, $put:ident, $get:ident) => {
         impl Persist for $t {
@@ -489,6 +665,22 @@ impl<A: Persist, B: Persist> Persist for (A, B) {
     }
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         Ok((A::restore(r)?, B::restore(r)?))
+    }
+}
+
+/// Written as a length-prefixed list of `(key, value)` pairs in key
+/// order — the same bytes as the sorted `Vec<(K, V)>` — so the encoding
+/// never depends on insertion history.
+impl<K: Persist + Ord, V: Persist> Persist for BTreeMap<K, V> {
+    fn persist(&self, w: &mut Writer) {
+        w.put_len(self.len());
+        for (k, v) in self {
+            k.persist(w);
+            v.persist(w);
+        }
+    }
+    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        Ok(r.get_seq::<(K, V)>()?.into_iter().collect())
     }
 }
 
@@ -629,6 +821,121 @@ mod tests {
         w.put_u64(42);
         assert_eq!(w.error(), Some(&PersistError::SequenceTooLong(too_long)));
         assert_eq!(w.into_bytes(), Err(PersistError::SequenceTooLong(too_long)));
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Probe {
+        id: u32,
+        load: f64,
+        history: Vec<u64>,
+        scratch: Vec<u8>,
+    }
+    crate::persist_struct!(Probe {
+        id,
+        load,
+        history,
+        skip scratch = vec![0; 4],
+    });
+
+    #[derive(Debug, PartialEq)]
+    enum Signal {
+        Idle,
+        Move { to: u32 },
+        Copy(u32, SimTime),
+    }
+    crate::persist_enum!(Signal {
+        0 => Idle,
+        1 => Move { to },
+        2 => Copy(from, at),
+    });
+
+    fn encode<T: Persist>(v: &T) -> Vec<u8> {
+        let mut w = Writer::new();
+        v.persist(&mut w);
+        w.into_bytes().unwrap()
+    }
+
+    #[test]
+    fn derived_struct_writes_fields_in_order_and_rebuilds_skipped_ones() {
+        let p = Probe {
+            id: 7,
+            load: 0.25,
+            history: vec![1, 2],
+            scratch: vec![9],
+        };
+        let bytes = encode(&p);
+        // The same bytes as writing the listed fields by hand.
+        let mut w = Writer::new();
+        w.put_u32(7);
+        w.put_f64(0.25);
+        w.put_seq(&[1u64, 2]);
+        assert_eq!(bytes, w.into_bytes().unwrap());
+
+        let mut r = Reader::new(&bytes);
+        let back = Probe::restore(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(
+            back,
+            Probe {
+                scratch: vec![0; 4],
+                ..p
+            }
+        );
+    }
+
+    #[test]
+    fn derived_enum_round_trips_every_variant_shape() {
+        for s in [
+            Signal::Idle,
+            Signal::Move { to: 3 },
+            Signal::Copy(5, SimTime::from_millis(99)),
+        ] {
+            let bytes = encode(&s);
+            let mut r = Reader::new(&bytes);
+            assert_eq!(Signal::restore(&mut r).unwrap(), s);
+            r.finish().unwrap();
+        }
+        // Tag byte first, then the fields in the listed order.
+        assert_eq!(
+            encode(&Signal::Copy(1, SimTime::from_millis(2))),
+            [&[2u8, 1, 0, 0, 0][..], &2u64.to_le_bytes()].concat()
+        );
+    }
+
+    #[test]
+    fn unknown_enum_tag_is_corrupt_and_names_the_type() {
+        assert_eq!(
+            Signal::restore(&mut Reader::new(&[3])),
+            Err(PersistError::Corrupt("bad Signal tag 3".into()))
+        );
+    }
+
+    #[test]
+    fn truncated_struct_is_unexpected_eof() {
+        let bytes = encode(&Probe {
+            id: 1,
+            load: 2.0,
+            history: vec![],
+            scratch: vec![],
+        });
+        // Cut inside `load`: `id` decodes, the f64 runs out of input.
+        assert_eq!(
+            Probe::restore(&mut Reader::new(&bytes[..6])),
+            Err(PersistError::UnexpectedEof {
+                offset: 4,
+                needed: 6
+            })
+        );
+    }
+
+    #[test]
+    fn btree_map_encodes_as_its_sorted_pair_list() {
+        let m: BTreeMap<u32, u64> = [(9, 90), (1, 10)].into_iter().collect();
+        let bytes = encode(&m);
+        assert_eq!(bytes, encode(&vec![(1u32, 10u64), (9, 90)]));
+        let mut r = Reader::new(&bytes);
+        assert_eq!(BTreeMap::<u32, u64>::restore(&mut r).unwrap(), m);
+        r.finish().unwrap();
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct EventQueue<E> {
     // lint:allow(D001): membership tests and counts only, never iterated
     pending: HashSet<u64>,
     /// Tombstones: cancelled entries still physically in the heap.
-    // lint:allow(D001): membership tests only, never iterated. lint:allow(SNAP001): tombstones are compacted away at snapshot time; restore starts clean
+    // lint:allow(D001): membership tests only, never iterated
     cancelled: HashSet<u64>,
     next_seq: u64,
 }
@@ -131,28 +131,24 @@ impl<E> EventQueue<E> {
     }
 }
 
-impl Persist for EventHandle {
-    fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.0);
-    }
-    fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(EventHandle(r.get_u64()?))
-    }
-}
+crate::persist_struct!(EventHandle(seq));
 
 /// Canonical state: `next_seq` plus the live entries with their original
 /// sequence numbers, written sorted by `(time, seq)`. Cancelled tombstones
 /// are compacted away (restore starts with an empty tombstone set), but
 /// sequence numbers are preserved so [`EventHandle`]s held by callers
 /// remain valid across a snapshot.
+// lint:allow(SNAP001): not field-for-field; live entries are written sorted without tombstones, and restore validates sequence numbers and rebuilds the pending set
 impl<E: Persist> Persist for EventQueue<E> {
     fn persist(&self, w: &mut Writer) {
-        w.put_u64(self.next_seq);
-        let mut live: Vec<&Entry<E>> = self
-            .heap
-            .iter()
-            .filter(|e| self.pending.contains(&e.seq))
-            .collect();
+        let EventQueue {
+            heap,
+            pending,
+            cancelled: _,
+            next_seq,
+        } = self;
+        w.put_u64(*next_seq);
+        let mut live: Vec<&Entry<E>> = heap.iter().filter(|e| pending.contains(&e.seq)).collect();
         live.sort_by_key(|e| (e.time, e.seq));
         w.put_len(live.len());
         for entry in live {

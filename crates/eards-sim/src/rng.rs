@@ -192,12 +192,14 @@ impl SimRng {
 /// Canonical state: the full xoshiro256++ state plus the cached Box–Muller
 /// spare, so a restored generator continues the exact stream — including a
 /// pending second normal draw.
+// lint:allow(SNAP001): not field-for-field; the generator is written as its four raw state words and rebuilt through SmallRng::from_state
 impl Persist for SimRng {
     fn persist(&self, w: &mut Writer) {
-        for word in self.inner.state() {
+        let SimRng { inner, gauss_spare } = self;
+        for word in inner.state() {
             w.put_u64(word);
         }
-        w.put_opt(&self.gauss_spare);
+        w.put_opt(gauss_spare);
     }
 
     fn restore(r: &mut Reader<'_>) -> Result<Self, PersistError> {
