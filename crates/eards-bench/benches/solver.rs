@@ -5,8 +5,9 @@
 //!
 //! Benchmarks the full scheduling round (matrix build + solve) over
 //! increasing datacenter sizes, over the iteration cap, over the penalty
-//! sets, and — the `cold_vs_incremental` group — the full-rescan
-//! reference solver against the incremental engine.
+//! sets, on a saturated cluster whose host rows are mostly dead, and —
+//! the `cold_vs_incremental` group — the full-rescan reference solver
+//! against the incremental engine.
 //!
 //! Besides the per-benchmark stdout lines, the run writes every mean to
 //! `BENCH_solver.json` at the workspace root: a machine-readable baseline
@@ -15,7 +16,8 @@
 use criterion::{BenchmarkId, Criterion};
 use eards_bench::common::{merge_solver_baseline, solver_case};
 use eards_core::{solve, solve_reference, Eval, ScoreConfig};
-use eards_sim::SimTime;
+use eards_model::{Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerState, VmId};
+use eards_sim::{SimDuration, SimTime};
 
 fn bench_matrix_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver/hosts_x_vms");
@@ -74,6 +76,80 @@ fn bench_penalty_sets(c: &mut Criterion) {
     group.finish();
 }
 
+/// A saturated paper-sized round: 100 Medium hosts, a third off, a third
+/// full (every other one hosting a running 200% column beside 200%
+/// background), most of the rest within one VM of full (300%
+/// background), every fifth of those partly free (100%), and 60 queued
+/// 200% columns. No column fits a full or nearly full host, so most rows
+/// are dead — the overload regime of a long simulation.
+fn saturated_case() -> (Cluster, Vec<VmId>) {
+    let hosts = 100u32;
+    let specs = (0..hosts)
+        .map(|i| HostSpec::standard(HostId(i), HostClass::Medium))
+        .collect();
+    let mut cluster = Cluster::new(specs, PowerState::On);
+    let t0 = SimTime::ZERO;
+    let t1 = SimTime::from_secs(40);
+    let mut next = 0u64;
+    let mut submit = |cluster: &mut Cluster, cpu: u32, submitted: SimTime, secs: u64| {
+        let job = Job::new(
+            JobId(next),
+            submitted,
+            Cpu(cpu),
+            Mem::gib(1),
+            SimDuration::from_secs(secs),
+            1.5,
+        );
+        next += 1;
+        cluster.submit_job(job)
+    };
+    let mut cols = Vec::new();
+    for h in 0..hosts {
+        let host = HostId(h);
+        let mut run = |cluster: &mut Cluster, cpu: u32| {
+            let vm = submit(cluster, cpu, t0, 7200);
+            cluster.start_creation(vm, host, t0, t1);
+            cluster.finish_creation(vm, t1);
+            vm
+        };
+        match h % 3 {
+            0 => {
+                cluster.begin_power_off(host, t0);
+            }
+            1 if h % 2 == 1 => {
+                run(&mut cluster, 200);
+                cols.push(run(&mut cluster, 200));
+            }
+            1 => {
+                run(&mut cluster, 400);
+            }
+            _ if h % 5 == 0 => {
+                run(&mut cluster, 100);
+            }
+            _ => {
+                run(&mut cluster, 300);
+            }
+        }
+    }
+    for _ in 0..60 {
+        cols.push(submit(&mut cluster, 200, t1, 3600));
+    }
+    (cluster, cols)
+}
+
+fn bench_saturated(c: &mut Criterion) {
+    let mut group = c.benchmark_group("solver/saturated");
+    let (cluster, cols) = saturated_case();
+    let cfg = ScoreConfig::sb();
+    group.bench_with_input(BenchmarkId::from_parameter("100h_60v"), &(), |b, ()| {
+        b.iter(|| {
+            let mut eval = Eval::new(&cluster, &cfg, SimTime::from_secs(100), cols.clone());
+            solve(&mut eval, cfg.max_moves)
+        })
+    });
+    group.finish();
+}
+
 /// The acceptance case of the incremental engine: one 100-host / 200-VM
 /// hill-climbing round, full-rescan reference vs the cached engine
 /// (`solve`). `reference` and `incremental` must stay ≥ 3× apart (the
@@ -124,6 +200,7 @@ fn main() {
     bench_matrix_scaling(&mut criterion);
     bench_iteration_cap(&mut criterion);
     bench_penalty_sets(&mut criterion);
+    bench_saturated(&mut criterion);
     bench_cold_vs_incremental(&mut criterion);
     write_baseline(&criterion);
 }

@@ -106,11 +106,9 @@ pub struct Eval<'a> {
     now: SimTime,
     /// Matrix columns.
     vms: Vec<VmId>,
-    /// The columns' VM records, resolved once at construction. The
-    /// cluster stores VMs in a hash map, and scoring reads each column's
-    /// record several times per cell — at datacenter scale those repeated
-    /// hash lookups dominate the matrix fill, so they are paid exactly
-    /// once per column here.
+    /// The columns' VM records, resolved once at construction: scoring
+    /// reads each column's record several times per cell, so the lookup
+    /// is paid once per column instead of once per read.
     vm_refs: Vec<&'a Vm>,
     /// Original placement of each matrix VM (`None` = virtual host).
     original: Vec<Option<usize>>,
@@ -276,6 +274,21 @@ impl<'a> Eval<'a> {
             cap.cpu.saturating_sub(self.committed[h].cpu),
             eards_model::Mem(cap.mem.mib().saturating_sub(self.committed[h].mem.mib())),
         )
+    }
+
+    /// Whether host `h` rejects every VM requesting at least `min_req`
+    /// (component-wise) that is not already on it: the host is not `On`,
+    /// or even `min_req` on top of its committed load breaks `P_res`.
+    /// This is [`Eval::static_cell`]'s power precondition and
+    /// [`Eval::score_with_static`]'s occupation test, and occupation is
+    /// monotone in load, so every such cell scores `∞`.
+    pub(crate) fn rejects_at_least(&self, h: usize, min_req: Resources) -> bool {
+        let host = self.cluster.host(HostId(h as u32));
+        host.power != PowerState::On
+            || self.committed[h]
+                .plus(min_req)
+                .occupation_in(host.spec.capacity())
+                > 1.0
     }
 
     /// Occupation host `h` would have with VM `v` placed there (the

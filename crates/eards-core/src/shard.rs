@@ -30,7 +30,12 @@
 //! Cells live in struct-of-arrays form: the three round-static halves
 //! ([`Eval::static_cell`]) and the current full score are parallel flat
 //! arrays, so a dirty-row rescore touches contiguous memory instead of
-//! hopping across an array of structs. Applying a move `⟨v → h⟩` changes
+//! hopping across an array of structs. Only *live* rows have cells: a row
+//! that hosts no column and cannot take even the shard's smallest request
+//! is *dead* — every cell `∞` for the whole climb — and is never stored,
+//! scored or scanned (see `ShardEngine::build`). In a saturated cluster
+//! most rows are dead, so a round costs `O(live rows × VMs)` instead of
+//! `O(hosts × VMs)`. Applying a move `⟨v → h⟩` changes
 //! the overlay (`committed`, `vm_count`, `placement[v]`) of only the VM's
 //! old host row and its new row `h`, so a move re-scores exactly those
 //! two rows; every other cell, including the rest of column `v`, is
@@ -59,9 +64,11 @@
 //! at most one step: the build (`m·n` cell scores plus one `m`-row scan
 //! per column, `2·m·n`) or one later sweep (at worst every column's
 //! candidate list drains into a rescan, `m·n`, plus the argmin `n` and
-//! the two-row invalidation `4n`: `m·n + 5n`).
+//! the two-row invalidation `4n`: `m·n + 5n`). These are the dense cost
+//! model of Algorithm 1: dead rows are charged like live ones, so a
+//! budget buys the same climb however many rows are live.
 
-use eards_model::ShardMap;
+use eards_model::{Resources, ShardMap};
 
 use crate::budget::{DegradeLevel, WorkMeter};
 use crate::eval::{CellStatic, Eval};
@@ -85,8 +92,9 @@ pub struct ShardedOutcome {
     pub solution: Solution,
     /// Work units charged across every shard, balancer probe included.
     pub work_spent: u64,
-    /// Host rows scored or re-scored across all shard engines: the
-    /// initial fill plus the dirty rows of every applied move.
+    /// Host rows scored or re-scored across all shard engines: every row
+    /// of each initial fill (dead rows included, like the meter) plus the
+    /// dirty rows of every applied move.
     pub rows_rescored: u64,
     /// Queue columns dealt by the round-robin assignment this round; the
     /// caller advances its persistent cursor by this much.
@@ -108,18 +116,27 @@ struct ColCandidates {
 
 const BOUND_COMPLETE: (f64, u32) = (f64::INFINITY, u32::MAX);
 
-/// A dense engine over one shard's host rows × its assigned columns.
+/// [`ShardEngine::slot`] entry of a dead row: one whose every cell is `∞`
+/// for the whole climb, so it has no cell storage.
+const DEAD: u32 = u32::MAX;
+
+/// An engine over one shard's host rows × its assigned columns.
 ///
 /// All storage is shard-local and value-typed (no borrows into the
-/// evaluator), struct-of-arrays over the cell fields.
+/// evaluator), struct-of-arrays over the cell fields, and kept for live
+/// rows only (see [`ShardEngine::build`]).
 struct ShardEngine {
     /// First global host row of the shard.
     row0: usize,
-    /// Shard height (rows).
+    /// Shard height (rows), live and dead.
     m: usize,
     /// Global column ids handled by this shard, ascending.
     cols: Vec<u32>,
-    // --- struct-of-arrays cell storage, row-major `(local row, col) = r*n + c`.
+    /// Per local row, its slot in the cell storage, or [`DEAD`].
+    slot: Vec<u32>,
+    /// Local row of each slot, ascending: the live rows.
+    live: Vec<u32>,
+    // --- struct-of-arrays cell storage, row-major `(slot, col) = s*n + c`.
     feasible: Vec<bool>,
     movein: Vec<Score>,
     fault: Vec<Score>,
@@ -130,9 +147,21 @@ struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// Builds the engine: scores every cell (charging the meter per row)
-    /// and builds each column's candidate list (charging per column
-    /// scan).
+    /// Builds the engine: classifies each row live or dead, scores every
+    /// live cell and builds each column's candidate list.
+    ///
+    /// A row is *dead* when no column sits on it and the host cannot take
+    /// even `min_req`, the component-wise smallest request of the shard's
+    /// columns ([`Eval::rejects_at_least`]). Every cell of a dead row is
+    /// `∞` — and stays `∞` all climb: power state is round-static, and a
+    /// row's overlay changes only when it is a move's source (it hosts a
+    /// column) or target (it held a finite cell). Dead rows are never
+    /// stored, scored or scanned.
+    ///
+    /// The meter still charges the dense cost model — `n` per row, live
+    /// or dead, and `m` per column scan — and every row counts as
+    /// rescored, so budgets, degradation and the outcome stats do not
+    /// depend on how many rows are live.
     fn build(
         eval: &Eval<'_>,
         rows: std::ops::Range<usize>,
@@ -143,20 +172,45 @@ impl ShardEngine {
         let row0 = rows.start;
         let m = rows.len();
         let n = cols.len();
+        // Rows a column sits on are live whatever their load: mark them
+        // (any non-`DEAD` slot) before numbering the live rows.
+        let mut slot = vec![DEAD; m];
+        let mut min_req: Option<Resources> = None;
+        for &v in &cols {
+            let v = v as usize;
+            if let Some(p) = eval.placement_of(v) {
+                slot[p - row0] = 0;
+            }
+            let req = eval.requested_of(v);
+            min_req = Some(min_req.map_or(req, |a| {
+                Resources::new(a.cpu.min(req.cpu), a.mem.min(req.mem))
+            }));
+        }
+        let mut live = Vec::with_capacity(m);
+        for (r, s) in slot.iter_mut().enumerate() {
+            if *s != DEAD || min_req.is_some_and(|q| !eval.rejects_at_least(row0 + r, q)) {
+                *s = live.len() as u32;
+                live.push(r as u32);
+            }
+        }
+        let cells = live.len() * n;
         let mut eng = ShardEngine {
             row0,
             m,
             cols,
-            feasible: vec![false; m * n],
-            movein: vec![Score::ZERO; m * n],
-            fault: vec![Score::ZERO; m * n],
-            value: vec![f64::INFINITY; m * n],
+            slot,
+            live,
+            feasible: vec![false; cells],
+            movein: vec![Score::ZERO; cells],
+            fault: vec![Score::ZERO; cells],
+            value: vec![f64::INFINITY; cells],
             cand: vec![ColCandidates::default(); n],
         };
-        for r in 0..m {
-            eng.fill_row(eval, r, meter);
-            *rows_rescored += 1;
+        for s in 0..eng.live.len() {
+            eng.fill_row(eval, s);
         }
+        meter.charge((m * n) as u64);
+        *rows_rescored += m as u64;
         for c in 0..n {
             meter.charge(m as u64);
             eng.rebuild_col(eval, c);
@@ -168,20 +222,20 @@ impl ShardEngine {
         self.cols.len()
     }
 
-    /// Scores local row `r` from scratch (statics + dynamic half).
-    fn fill_row(&mut self, eval: &Eval<'_>, r: usize, meter: &mut WorkMeter) {
+    /// Scores the live row in slot `s` from scratch (statics + dynamic
+    /// half).
+    fn fill_row(&mut self, eval: &Eval<'_>, s: usize) {
         let n = self.n();
-        let h = self.row0 + r;
+        let h = self.row0 + self.live[s] as usize;
         for c in 0..n {
             let v = self.cols[c] as usize;
             let cell = eval.static_cell(h, v);
-            let idx = r * n + c;
+            let idx = s * n + c;
             self.feasible[idx] = cell.feasible;
             self.movein[idx] = cell.movein;
             self.fault[idx] = cell.fault;
             self.value[idx] = eval.score_with_static(h, v, &cell).value();
         }
-        meter.charge(n as u64);
     }
 
     /// Re-scores local row `r` reusing the cached static halves — the
@@ -194,6 +248,7 @@ impl ShardEngine {
     fn rescore_row(&mut self, eval: &Eval<'_>, r: usize, frozen: &[bool], meter: &mut WorkMeter) {
         let n = self.n();
         let h = self.row0 + r;
+        let s = self.slot[r] as usize;
         let mut live = 0u64;
         for c in 0..n {
             let v = self.cols[c] as usize;
@@ -201,7 +256,7 @@ impl ShardEngine {
                 continue;
             }
             live += 1;
-            let idx = r * n + c;
+            let idx = s * n + c;
             let cell = CellStatic {
                 feasible: self.feasible[idx],
                 movein: self.movein[idx],
@@ -213,7 +268,8 @@ impl ShardEngine {
     }
 
     /// Full column rescan: rebuilds column `c`'s top-k and bound from the
-    /// cell values. Requires all rows clean.
+    /// live rows' cell values (dead rows hold no finite cell). Requires
+    /// all rows clean.
     fn rebuild_col(&mut self, eval: &Eval<'_>, c: usize) {
         let n = self.n();
         let v = self.cols[c] as usize;
@@ -221,12 +277,12 @@ impl ShardEngine {
         let mut overflow = false;
         let mut top: Vec<(f64, u32)> = std::mem::take(&mut self.cand[c].top);
         top.clear();
-        for r in 0..self.m {
-            let h = self.row0 + r;
+        for (slot, &r) in self.live.iter().enumerate() {
+            let h = self.row0 + r as usize;
             if placement == Some(h) {
                 continue;
             }
-            let s = self.value[r * n + c];
+            let s = self.value[slot * n + c];
             if s.is_infinite() {
                 continue;
             }
@@ -253,7 +309,9 @@ impl ShardEngine {
 
     /// Applies a move's row invalidation: re-scores the dirty rows and
     /// maintains every column's candidate list (remove entries on dirty
-    /// rows, then challenge the dirty cells against the bound).
+    /// rows, then challenge the dirty cells against the bound). Dirty rows
+    /// are always live: a move's source hosts a column and its target held
+    /// a finite cell.
     fn invalidate_rows(
         &mut self,
         eval: &Eval<'_>,
@@ -264,6 +322,7 @@ impl ShardEngine {
     ) {
         let n = self.n();
         for &r in dirty {
+            debug_assert_ne!(self.slot[r], DEAD, "dead row {r} dirtied by a move");
             self.rescore_row(eval, r, frozen, meter);
             *rows_rescored += 1;
         }
@@ -288,7 +347,7 @@ impl ShardEngine {
                 if placement == Some(h) {
                     continue;
                 }
-                let s = self.value[r * n + c];
+                let s = self.value[self.slot[r] as usize * n + c];
                 if s.is_infinite() {
                     continue;
                 }
@@ -349,7 +408,9 @@ impl ShardEngine {
                         (self.row0..self.row0 + self.m).contains(&p),
                         "column {v} placed outside its shard"
                     );
-                    Score::finite(self.value[(p - self.row0) * self.n() + c])
+                    // A placed column's row is live (see `build`).
+                    let s = self.slot[p - self.row0] as usize;
+                    Score::finite(self.value[s * self.n() + c])
                 }
                 None => Score::INFINITE,
             };
@@ -684,8 +745,9 @@ mod tests {
             let dirty: Vec<usize> = old.into_iter().chain([h]).collect();
             eng.invalidate_rows(&eval, &dirty, &frozen, &mut meter, &mut rows);
             for h in 0..4 {
+                let s = eng.slot[h] as usize;
                 for v in 0..5 {
-                    let cached = eng.value[h * 5 + v];
+                    let cached = eng.value[s * 5 + v];
                     let fresh = eval.score(h, v).value();
                     assert_eq!(
                         cached.to_bits(),
@@ -695,6 +757,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn dead_rows_score_infinite_and_are_not_stored() {
+        // Host 0 off, host 1 full, host 2 full but hosting a running
+        // column, host 3 with room for one more 100% VM (the smallest
+        // column), host 4 empty. Dead: 0 and 1 only.
+        let mut c = cluster(5);
+        c.begin_power_off(HostId(0), t(0));
+        let mut running = Vec::new();
+        for (i, h, cpu) in [(0u64, 1u32, 400u32), (1, 2, 300), (2, 2, 100), (3, 3, 300)] {
+            let vm = c.submit_job(job(i, cpu));
+            c.start_creation(vm, HostId(h), t(0), t(40));
+            c.finish_creation(vm, t(40));
+            running.push(vm);
+        }
+        let mut ids = vec![running[2]];
+        ids.extend([(4, 200), (5, 300), (6, 400)].map(|(i, cpu)| c.submit_job(job(i, cpu))));
+        let cfg = ScoreConfig::sb();
+        let eval = Eval::new(&c, &cfg, t(100), ids);
+        let mut meter = WorkMeter::unlimited();
+        let mut rows = 0u64;
+        let eng = ShardEngine::build(&eval, 0..5, (0..4).collect(), &mut meter, &mut rows);
+        assert_eq!(eng.slot, [DEAD, DEAD, 0, 1, 2]);
+        assert_eq!(eng.live, [2, 3, 4]);
+        assert_eq!(eng.value.len(), 3 * 4, "cells stored for live rows only");
+        for h in [0, 1] {
+            for v in 0..4 {
+                assert!(eval.score(h, v).is_infinite(), "dead row {h} column {v}");
+            }
+        }
+        // The meter and the stats still count the dense 5 × 4 block.
+        assert_eq!(meter.spent(), 2 * 5 * 4);
+        assert_eq!(rows, 5);
     }
 
     #[test]
