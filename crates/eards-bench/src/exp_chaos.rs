@@ -81,7 +81,12 @@ pub fn reports() -> Vec<Vec<RunReport>> {
 }
 
 /// A short, strict-auditor chaos run for CI: any invariant violation
-/// panics the process. Returns the reports (SB then BF) for inspection.
+/// panics the process. Each policy runs twice over the same seeds: under
+/// [`AuditorMode::Strict`] (full passes every batch) and under
+/// [`AuditorMode::On`] (the default, dirty-host passes). The
+/// `On` run must report zero violations and a [`RunReport`] identical to
+/// the `Strict` one, or this panics too. Returns the `Strict` reports
+/// (SB then BF) for inspection.
 pub fn smoke() -> Vec<RunReport> {
     let hosts = small_datacenter(16, HostClass::Medium);
     let trace = generate(
@@ -94,13 +99,28 @@ pub fn smoke() -> Vec<RunReport> {
     ["SB", "BF"]
         .iter()
         .map(|name| {
-            let points = vec![SweepPoint {
+            let point = |mode| SweepPoint {
                 label: format!("{name} smoke"),
                 config: RunConfig::default()
                     .with_faults(FaultPlan::chaos(1.5))
-                    .with_auditor(AuditorMode::Strict),
-            }];
-            run_sweep(&hosts, &trace, || chaos_policy(name), points).remove(0)
+                    .with_auditor(mode),
+            };
+            let points = vec![point(AuditorMode::Strict), point(AuditorMode::On)];
+            let mut runs = run_sweep(&hosts, &trace, || chaos_policy(name), points).into_iter();
+            let (Some(strict), Some(on)) = (runs.next(), runs.next()) else {
+                unreachable!("run_sweep returns one report per point");
+            };
+            assert_eq!(
+                on.faults.invariant_violations, 0,
+                "{name}: On-mode audit found violations: {:?}",
+                on.faults
+            );
+            assert_eq!(
+                format!("{on:?}"),
+                format!("{strict:?}"),
+                "{name}: the On-mode run diverged from the Strict run"
+            );
+            strict
         })
         .collect()
 }

@@ -15,7 +15,7 @@ use eards_model::{
     Action, Cluster, DegradeStats, HostId, Policy, ScheduleContext, ScheduleReason, ShardMap,
     ShardSpec, VmId, VmState,
 };
-use eards_obs::{Obs, ObsEvent};
+use eards_obs::{CounterId, HistId, Obs, ObsEvent};
 use eards_sim::{persist_struct, Persist, PersistError, Reader, Writer};
 
 use crate::budget::{DegradeLevel, OverloadControl, WorkMeter};
@@ -73,6 +73,8 @@ pub struct ScoreScheduler {
     buffers: EngineBuffers,
     /// Observability handle; disabled by default (every call is a no-op).
     obs: Obs,
+    /// The solver's metric ids, registered once with `obs`.
+    metrics: SolverMetrics,
     /// Overload control (work budget + degradation ladder). `None` keeps
     /// the legacy always-full-quality path.
     ctl: Option<OverloadControl>,
@@ -91,6 +93,42 @@ pub struct ScoreScheduler {
     /// restore — the bench harness reads it through
     /// [`Policy::degrade_stats`]).
     stats: DegradeStats,
+}
+
+/// Ids of the solver's counters and histograms, resolved when the
+/// scheduler is built so a round never looks a metric up by name.
+#[derive(Debug, Clone, Copy)]
+struct SolverMetrics {
+    /// Sweep latency in µs: sub-ms buckets resolve the common case, the
+    /// tail buckets catch pathological rounds.
+    solve_us: HistId,
+    rounds: CounterId,
+    rows_rescored: CounterId,
+    rows_rescored_per_round: HistId,
+    degraded_rounds: CounterId,
+    budget_utilization_pct: HistId,
+}
+
+impl SolverMetrics {
+    fn register(obs: &Obs) -> Self {
+        SolverMetrics {
+            solve_us: obs.histogram(
+                "solve_us",
+                &[50.0, 200.0, 1000.0, 5000.0, 25000.0, 100000.0],
+            ),
+            rounds: obs.counter("solver_rounds"),
+            rows_rescored: obs.counter("matrix_rows_rescored"),
+            rows_rescored_per_round: obs.histogram(
+                "rows_rescored_per_round",
+                &[2.0, 8.0, 32.0, 128.0, 512.0, 2048.0],
+            ),
+            degraded_rounds: obs.counter("degraded_rounds"),
+            budget_utilization_pct: obs.histogram(
+                "budget_utilization_pct",
+                &[10.0, 25.0, 50.0, 75.0, 90.0, 100.0],
+            ),
+        }
+    }
 }
 
 /// The ladder driver's persisted state.
@@ -136,6 +174,7 @@ impl ScoreScheduler {
         ScoreScheduler {
             cfg,
             buffers: EngineBuffers::new(),
+            metrics: SolverMetrics::register(&obs),
             obs,
             ctl: None,
             state: DegradeState::default(),
@@ -231,7 +270,7 @@ impl ScoreScheduler {
         }
         if self.obs.is_enabled() {
             if rung != DegradeLevel::L0Full || exhausted {
-                self.obs.inc(self.obs.counter("degraded_rounds"), 1);
+                self.obs.inc(self.metrics.degraded_rounds, 1);
                 self.obs.record(
                     ctx.now,
                     ObsEvent::RoundDegraded {
@@ -243,12 +282,10 @@ impl ScoreScheduler {
                 );
             }
             if ctl.budget != u64::MAX && ctl.budget > 0 {
-                let hist = self.obs.histogram(
-                    "budget_utilization_pct",
-                    &[10.0, 25.0, 50.0, 75.0, 90.0, 100.0],
+                self.obs.observe(
+                    self.metrics.budget_utilization_pct,
+                    spent as f64 * 100.0 / ctl.budget as f64,
                 );
-                self.obs
-                    .observe(hist, spent as f64 * 100.0 / ctl.budget as f64);
             }
         }
     }
@@ -367,13 +404,10 @@ impl Policy for ScoreScheduler {
         let budget = self.ctl.map_or(u64::MAX, |c| c.budget);
         let mut eval = Eval::new_in(cluster, &self.cfg, ctx.now, cols, &mut self.buffers);
         let (sol, rows_rescored, work_spent) = {
-            // Sweep latency in µs: sub-ms buckets resolve the common case,
-            // the tail buckets catch pathological rounds.
-            let hist = self.obs.histogram(
-                "solve_us",
-                &[50.0, 200.0, 1000.0, 5000.0, 25000.0, 100000.0],
-            );
-            let _span = self.obs.span("solve", ctx.now).with_hist(hist);
+            let _span = self
+                .obs
+                .span("solve", ctx.now)
+                .with_hist(self.metrics.solve_us);
             if rung == DegradeLevel::L2Greedy {
                 let (sol, spent) = Self::greedy_first_feasible(&mut eval, budget, rung);
                 (sol, 0, spent)
@@ -398,14 +432,10 @@ impl Policy for ScoreScheduler {
             }
         };
         if self.obs.is_enabled() {
-            self.obs.inc(self.obs.counter("solver_rounds"), 1);
+            self.obs.inc(self.metrics.rounds, 1);
+            self.obs.inc(self.metrics.rows_rescored, rows_rescored);
             self.obs
-                .inc(self.obs.counter("matrix_rows_rescored"), rows_rescored);
-            let rows_hist = self.obs.histogram(
-                "rows_rescored_per_round",
-                &[2.0, 8.0, 32.0, 128.0, 512.0, 2048.0],
-            );
-            self.obs.observe(rows_hist, rows_rescored as f64);
+                .observe(self.metrics.rows_rescored_per_round, rows_rescored as f64);
             self.obs.record(
                 ctx.now,
                 ObsEvent::ScheduleRound {

@@ -23,10 +23,10 @@ use eards_metrics::{
     delay_pct, satisfaction, FaultStats, JobOutcome, RunReport, TimeSeries, TimeWeighted,
 };
 use eards_model::{
-    Action, CalibratedPowerModel, Cluster, HostId, HostSpec, Job, Policy, PowerModel, PowerState,
-    ScheduleContext, ScheduleReason, ShardMap, VmId, VmState,
+    Action, CalibratedPowerModel, Cluster, Cpu, HostId, HostSpec, Job, Policy, PowerCache,
+    PowerModel, PowerState, ScheduleContext, ScheduleReason, ShardMap, VmId, VmState,
 };
-use eards_obs::{FaultKind, HistId, Obs, ObsEvent, PowerFlipKind, RecoveryKind};
+use eards_obs::{CounterId, FaultKind, HistId, Obs, ObsEvent, PowerFlipKind, RecoveryKind};
 use eards_sim::{
     persist_enum, persist_struct, read_header, write_header, EventHandle, Persist, PersistError,
     Reader, SimDuration, SimRng, SimTime, Simulator, Writer,
@@ -191,12 +191,20 @@ pub struct Runner {
     /// (the set is rebuilt every `adjust_power` pass; the allocation
     /// is not).
     power_scratch: Vec<HostId>,
+    /// Hosts the cluster reported dirty since the last audit: drained in
+    /// [`Runner::record_metrics`], checked and cleared in
+    /// [`Runner::audit_invariants`].
+    dirty: Vec<HostId>,
+    /// Per-host power draws, refreshed for the dirty hosts only.
+    power: PowerCache,
     /// Observability handle (cloned from the config; disabled = no-ops).
     obs: Obs,
     /// Pre-registered histogram of queue length entering each round.
     queue_hist: HistId,
     /// Pre-registered histogram of retry-backoff depths (attempt counts).
     retry_hist: HistId,
+    /// Pre-registered counter of VMs parked by backpressure.
+    parked_ctr: CounterId,
     /// True once [`Runner::start`] has armed the t = 0 world (initial
     /// power-on, arrival schedule, periodic timers). Part of the snapshot:
     /// a resumed run must not re-run the setup.
@@ -264,6 +272,7 @@ impl Runner {
         let obs = cfg.obs.clone();
         let queue_hist = obs.histogram("queue_len", &[1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0]);
         let retry_hist = obs.histogram("retry_backoff_depth", &[1.0, 2.0, 3.0, 4.0, 6.0, 10.0]);
+        let parked_ctr = obs.counter("vms_parked");
         Runner {
             cluster: Cluster::new(hosts, PowerState::Off),
             policy,
@@ -299,9 +308,12 @@ impl Runner {
             audit: Vec::new(),
             sat_window: eards_metrics::Summary::new(),
             power_scratch: Vec::new(),
+            dirty: Vec::new(),
+            power: PowerCache::new(),
             obs,
             queue_hist,
             retry_hist,
+            parked_ctr,
             started: false,
         }
     }
@@ -477,9 +489,11 @@ impl Runner {
     // stream positions, the retry/backoff and blacklist bookkeeping, every
     // accumulated metric, and a policy-private block. Rebuilt on restore
     // from the constructor arguments: the power model, the job list (from
-    // the trace), the obs handle and its histogram registrations, the
-    // report label, and the `power_scratch` buffer. The drain horizon
-    // (`hard_cap`) is derived from the trace and recomputed.
+    // the trace), the obs handle and its metric registrations, the
+    // report label, the `power_scratch` buffer, and the dirty-host list
+    // and power cache (a restored cluster starts with every host dirty).
+    // The drain horizon (`hard_cap`) is derived from the trace and
+    // recomputed.
 
     /// Serializes the full mid-flight run state. Call at a batch boundary
     /// (between [`Runner::step_batch`] calls); the driver loop never
@@ -1259,10 +1273,10 @@ impl Runner {
         if !starved {
             return;
         }
-        let v = self.cluster.vm_mut(vm);
-        let ceiling = (v.job.cpu.points() * 3 / 2).min(cap.points());
-        let new_cpu = (needed as u32).clamp(v.job.cpu.points(), ceiling);
-        v.requested.cpu = eards_model::Cpu(new_cpu.max(v.requested.cpu.points()));
+        let demand = self.cluster.vm(vm).job.cpu.points();
+        let ceiling = (demand * 3 / 2).min(cap.points());
+        let new_cpu = (needed as u32).clamp(demand, ceiling);
+        self.cluster.raise_requested_cpu(vm, Cpu(new_cpu));
     }
 
     // ----- power management (§III-C) ----------------------------------------
@@ -1489,8 +1503,7 @@ impl Runner {
             self.retry.remove(&vm);
             self.parked.insert(vm, now);
             self.vms_parked += 1;
-            let ctr = self.obs.counter("vms_parked");
-            self.obs.inc(ctr, 1);
+            self.obs.inc(self.parked_ctr, 1);
             self.obs.record(
                 now,
                 ObsEvent::VmParked {
@@ -1554,10 +1567,12 @@ impl Runner {
         }
     }
 
-    /// Runs the invariant auditor after an event batch, including the
-    /// driver-side check that fault timers only target hosts that are up.
+    /// Runs the invariant auditor after an event batch over the hosts the
+    /// batch dirtied, including the driver-side check that fault timers
+    /// only target hosts that are up.
     fn audit_invariants(&mut self, now: SimTime) {
         if !self.auditor.enabled() {
+            self.dirty.clear();
             return;
         }
         let mut timer_violation: Option<String> = None;
@@ -1593,7 +1608,8 @@ impl Runner {
             self.auditor.report(now, msg);
         }
         self.auditor
-            .check(&self.cluster, self.jobs_done as u64, now);
+            .check(&self.cluster, &self.dirty, self.jobs_done as u64, now);
+        self.dirty.clear();
     }
 
     // ----- execution bookkeeping --------------------------------------------
@@ -1602,8 +1618,10 @@ impl Runner {
     /// projections for its VMs.
     fn touch(&mut self, host: HostId, now: SimTime) {
         self.cluster.reallocate_host(host, now);
-        let resident = self.cluster.host(host).resident.clone();
-        for vm in resident {
+        // Indexed, not iterated: `refresh_completion` needs `&mut self`
+        // but never changes residency.
+        for i in 0..self.cluster.host(host).resident.len() {
+            let vm = self.cluster.host(host).resident[i];
             self.refresh_completion(vm, now);
         }
     }
@@ -1685,9 +1703,20 @@ impl Runner {
 
     // ----- metrics -----------------------------------------------------------
 
+    /// Books the post-batch power and node counts into the time-weighted
+    /// aggregates. Drains the cluster's dirty hosts into `self.dirty` (the
+    /// auditor reads them next) and re-reads only their power draws.
     fn record_metrics(&mut self) {
         let now = self.sim.now();
-        let power = self.cluster.total_power(self.model.as_ref());
+        self.cluster.drain_dirty(&mut self.dirty);
+        self.power
+            .refresh(&self.cluster, &self.dirty, self.model.as_ref());
+        let power = self.power.total();
+        debug_assert_eq!(
+            power.to_bits(),
+            self.cluster.total_power(self.model.as_ref()).to_bits(),
+            "cached power drifted from the full scan"
+        );
         self.power_tw.set(now, power);
         if self.cfg.record_power_series {
             self.power_series.record(now, power);
@@ -1702,12 +1731,9 @@ impl Runner {
     }
 
     fn finalize(mut self, end: SimTime) -> RunReport {
-        // One last deep structural pass before the books close.
-        if self.auditor.enabled() {
-            if let Err(msg) = self.cluster.verify() {
-                self.auditor.report(end, msg);
-            }
-        }
+        // One last full light and deep pass before the books close.
+        self.auditor
+            .finish(&self.cluster, self.jobs_done as u64, end);
         // Jobs still in flight at the horizon count as unfinished.
         // `vms()` yields VmId order: a deterministic report order.
         let unfinished: Vec<VmId> = self

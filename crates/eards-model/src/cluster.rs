@@ -79,7 +79,27 @@ impl Host {
     }
 }
 
+/// Derived per-host bookkeeping behind [`Cluster`]'s dirty-host set and
+/// running counts. Never persisted: `restore` rebuilds it.
+#[derive(Debug, Clone, Copy, Default)]
+struct HostMark {
+    /// Changed since the last [`Cluster::drain_dirty`].
+    dirty: bool,
+    /// [`Host::is_working`] as of the last mark.
+    working: bool,
+    /// `power.is_online()` as of the last mark.
+    online: bool,
+}
+
 /// The mutable datacenter state.
+///
+/// Every mutator marks the hosts it changes (power state,
+/// resident/incoming/op lists, `cpu_factor`, or the allocations and
+/// requests of the VMs they account) as *dirty*. A driver drains that set
+/// once per event batch with [`Cluster::drain_dirty`], so per-batch
+/// bookkeeping — the [`PowerCache`], the invariant auditor — can touch
+/// only what the batch changed. The working and online host counts are
+/// kept as running integers at the same marks.
 ///
 /// ```
 /// use eards_model::*;
@@ -121,6 +141,17 @@ pub struct Cluster {
     /// serve as identity: an abort scheduled for the same tick as a later
     /// operation's completion would collide on `ends`.
     next_op_seq: u64,
+    /// Per-host dirty flag and last-marked working/online bits, indexed
+    /// by host id.
+    marks: Vec<HostMark>,
+    /// The dirty hosts, in marking order (each at most once).
+    dirty: Vec<HostId>,
+    /// Hosts whose `marks` entry says working.
+    working: usize,
+    /// Hosts whose `marks` entry says online.
+    online: usize,
+    /// Credit-scheduler input, recycled across `reallocate_host` calls.
+    contenders: Vec<CpuContender>,
 }
 
 impl Cluster {
@@ -133,15 +164,74 @@ impl Cluster {
                 "host specs must be supplied in id order"
             );
         }
-        Cluster {
-            hosts: specs
+        Self::assemble(
+            specs
                 .into_iter()
                 .map(|s| Host::new(s, initial_power))
                 .collect(),
-            vms: Vec::new(),
-            queue: Vec::new(),
-            next_op_seq: 0,
+            Vec::new(),
+            Vec::new(),
+            0,
+        )
+    }
+
+    /// Wraps canonical state with fresh derived bookkeeping: every host
+    /// starts dirty, so the first drain covers the whole cluster.
+    fn assemble(hosts: Vec<Host>, vms: Vec<Vm>, queue: Vec<VmId>, next_op_seq: u64) -> Self {
+        let mut c = Cluster {
+            marks: vec![HostMark::default(); hosts.len()],
+            dirty: Vec::with_capacity(hosts.len()),
+            working: 0,
+            online: 0,
+            contenders: Vec::new(),
+            hosts,
+            vms,
+            queue,
+            next_op_seq,
+        };
+        for i in 0..c.hosts.len() {
+            c.mark(HostId(i as u32));
         }
+        c
+    }
+
+    /// Records that `host` changed: flags it dirty and re-derives its
+    /// contribution to the running working/online counts. Called after
+    /// the mutation.
+    fn mark(&mut self, host: HostId) {
+        let i = host.raw() as usize;
+        let h = &self.hosts[i];
+        let (working, online) = (h.is_working(), h.power.is_online());
+        let m = &mut self.marks[i];
+        if !m.dirty {
+            m.dirty = true;
+            self.dirty.push(host);
+        }
+        if m.working != working {
+            m.working = working;
+            if working {
+                self.working += 1;
+            } else {
+                self.working -= 1;
+            }
+        }
+        if m.online != online {
+            m.online = online;
+            if online {
+                self.online += 1;
+            } else {
+                self.online -= 1;
+            }
+        }
+    }
+
+    /// Appends every host changed since the last drain to `out` (in the
+    /// order they were first marked) and clears the set.
+    pub fn drain_dirty(&mut self, out: &mut Vec<HostId>) {
+        for &h in &self.dirty {
+            self.marks[h.raw() as usize].dirty = false;
+        }
+        out.append(&mut self.dirty);
     }
 
     /// Hands out the next operation sequence number.
@@ -173,8 +263,9 @@ impl Cluster {
         &self.vms[id.index()]
     }
 
-    /// Mutable VM access (used by the driver for progress bookkeeping).
-    pub fn vm_mut(&mut self, id: VmId) -> &mut Vm {
+    /// Mutable VM access for the mutators below, which mark the hosts
+    /// they change.
+    fn vm_mut(&mut self, id: VmId) -> &mut Vm {
         &mut self.vms[id.index()]
     }
 
@@ -193,14 +284,26 @@ impl Cluster {
         &self.queue
     }
 
-    /// Number of hosts currently *working* (executing ≥ 1 VM).
+    /// Number of hosts currently *working* (executing ≥ 1 VM). A running
+    /// count, `O(1)`.
     pub fn working_count(&self) -> usize {
-        self.hosts.iter().filter(|h| h.is_working()).count()
+        debug_assert_eq!(
+            self.working,
+            self.hosts.iter().filter(|h| h.is_working()).count(),
+            "running working count drifted from the host scan"
+        );
+        self.working
     }
 
-    /// Number of hosts currently online (on or booting).
+    /// Number of hosts currently online (on or booting). A running count,
+    /// `O(1)`.
     pub fn online_count(&self) -> usize {
-        self.hosts.iter().filter(|h| h.power.is_online()).count()
+        debug_assert_eq!(
+            self.online,
+            self.hosts.iter().filter(|h| h.power.is_online()).count(),
+            "running online count drifted from the host scan"
+        );
+        self.online
     }
 
     /// Reliability of a host as the score engine should see it: the spec
@@ -329,6 +432,7 @@ impl Cluster {
             cpu_overhead: CREATION_CPU_OVERHEAD,
             seq,
         });
+        self.mark(host);
         seq
     }
 
@@ -343,6 +447,7 @@ impl Cluster {
         self.hosts[host.raw() as usize]
             .ops
             .retain(|o| !(o.vm == vm && o.kind == OpKind::Create));
+        self.mark(host);
     }
 
     /// Aborts an in-flight creation (dom0 failure): the VM returns to the
@@ -358,6 +463,7 @@ impl Cluster {
         h.resident.retain(|&r| r != vm);
         h.ops.retain(|o| !(o.vm == vm && o.kind == OpKind::Create));
         self.queue.push(vm);
+        self.mark(host);
     }
 
     /// Starts a live migration of `vm` to `to`. Resources are reserved on
@@ -393,6 +499,8 @@ impl Cluster {
             cpu_overhead: MIGRATION_CPU_OVERHEAD,
             seq,
         });
+        self.mark(from);
+        self.mark(to);
         seq
     }
 
@@ -418,6 +526,8 @@ impl Cluster {
         th.resident.push(vm);
         th.ops
             .retain(|o| !(o.vm == vm && matches!(o.kind, OpKind::MigrateIn { .. })));
+        self.mark(from);
+        self.mark(to);
     }
 
     /// Aborts an in-flight migration (page-copy failure): the reservation
@@ -441,6 +551,8 @@ impl Cluster {
         let fh = &mut self.hosts[from.raw() as usize];
         fh.ops
             .retain(|o| !(o.vm == vm && matches!(o.kind, OpKind::MigrateOut { .. })));
+        self.mark(from);
+        self.mark(to);
     }
 
     /// Starts a checkpoint of a running VM. Returns the operation's
@@ -459,6 +571,7 @@ impl Cluster {
             cpu_overhead: CHECKPOINT_CPU_OVERHEAD,
             seq,
         });
+        self.mark(host);
         seq
     }
 
@@ -473,6 +586,7 @@ impl Cluster {
         self.hosts[host.raw() as usize]
             .ops
             .retain(|o| !(o.vm == vm && o.kind == OpKind::Checkpoint));
+        self.mark(host);
     }
 
     /// Completes a job: the VM is destroyed and its resources released.
@@ -491,6 +605,7 @@ impl Cluster {
         self.hosts[host.raw() as usize]
             .resident
             .retain(|&r| r != vm);
+        self.mark(host);
     }
 
     // ----- power transitions ----------------------------------------------
@@ -501,6 +616,7 @@ impl Cluster {
         assert_eq!(h.power, PowerState::Off, "can only boot an off host");
         let ready_at = now + h.spec.class.boot_time();
         h.power = PowerState::Booting { ready_at };
+        self.mark(host);
         ready_at
     }
 
@@ -512,6 +628,7 @@ impl Cluster {
             "complete_power_on on non-booting host"
         );
         h.power = PowerState::On;
+        self.mark(host);
     }
 
     /// Begins a graceful shutdown of an idle host; off at the returned
@@ -522,6 +639,7 @@ impl Cluster {
         assert!(h.is_idle(), "cannot shut down a host with VMs or ops");
         let off_at = now + h.spec.class.shutdown_time();
         h.power = PowerState::ShuttingDown { off_at };
+        self.mark(host);
         off_at
     }
 
@@ -533,6 +651,7 @@ impl Cluster {
             "complete_power_off on non-shutting-down host"
         );
         h.power = PowerState::Off;
+        self.mark(host);
     }
 
     /// Crashes a host: every VM touching it is torn down and re-queued on
@@ -543,6 +662,7 @@ impl Cluster {
         let displaced: Vec<VmId> = h.resident.drain(..).chain(h.incoming.drain(..)).collect();
         let ops: Vec<InFlightOp> = h.ops.drain(..).collect();
         h.power = PowerState::Failed;
+        self.mark(host);
 
         // Migrations in flight also leave residue on the peer host.
         for op in ops {
@@ -556,6 +676,7 @@ impl Cluster {
                 ph.resident.retain(|&r| r != op.vm);
                 ph.incoming.retain(|&r| r != op.vm);
                 ph.ops.retain(|o| o.vm != op.vm);
+                self.mark(p);
             }
         }
 
@@ -592,6 +713,7 @@ impl Cluster {
         );
         assert!(h.is_idle(), "booting host cannot carry VMs");
         h.power = PowerState::Failed;
+        self.mark(host);
     }
 
     /// Repairs a failed host back to the off state.
@@ -599,6 +721,7 @@ impl Cluster {
         let h = &mut self.hosts[host.raw() as usize];
         assert_eq!(h.power, PowerState::Failed, "repair of a non-failed host");
         h.power = PowerState::Off;
+        self.mark(host);
     }
 
     /// Applies (or clears, with `0.0`) the flapping-blacklist reliability
@@ -616,6 +739,7 @@ impl Cluster {
             "cpu factor must be in (0, 1]"
         );
         self.hosts[host.raw() as usize].cpu_factor = factor;
+        self.mark(host);
     }
 
     // ----- CPU sharing -----------------------------------------------------
@@ -635,30 +759,45 @@ impl Cluster {
         // `x * 1.0 == x` bit-for-bit, so the fault layer costs nothing here
         // when disabled.
         let capacity = (h.spec.cpu.as_f64() * h.cpu_factor - h.op_cpu_overhead().as_f64()).max(0.0);
-        let contenders: Vec<CpuContender> = h
-            .resident
-            .iter()
-            .map(|id| {
-                let v = &vms[id.index()];
-                if v.state.is_executing() {
-                    CpuContender {
-                        demand: v.job.cpu.as_f64(),
-                        weight: 256.0,
-                        cap: v.req_cpu().as_f64(),
-                    }
-                } else {
-                    // Creating VMs reserve resources but consume none yet.
-                    CpuContender {
-                        demand: 0.0,
-                        weight: 256.0,
-                        cap: 0.0,
-                    }
+        let contenders = &mut self.contenders;
+        contenders.clear();
+        contenders.extend(h.resident.iter().map(|id| {
+            let v = &vms[id.index()];
+            if v.state.is_executing() {
+                CpuContender {
+                    demand: v.job.cpu.as_f64(),
+                    weight: 256.0,
+                    cap: v.req_cpu().as_f64(),
                 }
-            })
-            .collect();
-        let allocs = xen::allocate(capacity, &contenders);
+            } else {
+                // Creating VMs reserve resources but consume none yet.
+                CpuContender {
+                    demand: 0.0,
+                    weight: 256.0,
+                    cap: 0.0,
+                }
+            }
+        }));
+        let allocs = xen::allocate(capacity, contenders);
         for (id, alloc) in h.resident.iter().zip(allocs) {
             vms[id.index()].alloc = alloc;
+        }
+        self.mark(host);
+    }
+
+    /// Raises a VM's requested CPU to at least `cpu` (the dynamic SLA
+    /// escalation of §III-A.5; a request never shrinks here). Marks the
+    /// hosts whose committed resources just changed: the VM's host and,
+    /// mid-migration, its destination.
+    pub fn raise_requested_cpu(&mut self, vm: VmId, cpu: Cpu) {
+        let v = self.vm_mut(vm);
+        v.requested.cpu = v.requested.cpu.max(cpu);
+        let (host, state) = (v.host, v.state);
+        if let Some(host) = host {
+            self.mark(host);
+        }
+        if let VmState::Migrating { to } = state {
+            self.mark(to);
         }
     }
 
@@ -777,6 +916,45 @@ impl Cluster {
     }
 }
 
+/// Per-host power draws cached between event batches.
+///
+/// [`PowerCache::refresh`] re-reads only the hosts a
+/// [`Cluster::drain_dirty`] named — no other host's draw can have moved —
+/// and [`PowerCache::total`] sums the cache in host order with the same
+/// `Iterator::sum` as [`Cluster::total_power`], so the two agree
+/// bit-for-bit.
+#[derive(Debug, Clone, Default)]
+pub struct PowerCache {
+    watts: Vec<f64>,
+}
+
+impl PowerCache {
+    /// An empty cache; the first refresh fills it from every host.
+    pub fn new() -> Self {
+        PowerCache::default()
+    }
+
+    /// Re-reads the draw of every host in `dirty`. A cache not yet sized
+    /// for `cluster` is filled from all of its hosts instead.
+    pub fn refresh(&mut self, cluster: &Cluster, dirty: &[HostId], model: &dyn PowerModel) {
+        if self.watts.len() != cluster.num_hosts() {
+            self.watts = (0..cluster.num_hosts())
+                .map(|i| cluster.host_power(HostId(i as u32), model))
+                .collect();
+            return;
+        }
+        for &h in dirty {
+            self.watts[h.raw() as usize] = cluster.host_power(h, model);
+        }
+    }
+
+    /// Instantaneous power draw of the whole datacenter, in Watts, as of
+    /// the last refresh.
+    pub fn total(&self) -> f64 {
+        self.watts.iter().sum()
+    }
+}
+
 // Canonical state: spec, power state, residency lists (order matters —
 // allocation math iterates them), in-flight ops, and the fault-layer
 // multipliers. Everything a host owns is canonical; nothing is rebuilt.
@@ -800,11 +978,18 @@ persist_struct!(Host {
 // lint:allow(SNAP001): restore validates id order, the next-id cross-check and the full structural verify pass
 impl Persist for Cluster {
     fn persist(&self, w: &mut Writer) {
+        // The dirty set, running counts and scratch are derived:
+        // `restore` rebuilds them.
         let Cluster {
             hosts,
             vms,
             queue,
             next_op_seq,
+            marks: _,
+            dirty: _,
+            working: _,
+            online: _,
+            contenders: _,
         } = self;
         hosts.persist(w);
         vms.persist(w);
@@ -840,12 +1025,7 @@ impl Persist for Cluster {
                 vms.len()
             )));
         }
-        let c = Cluster {
-            hosts,
-            vms,
-            queue,
-            next_op_seq,
-        };
+        let c = Cluster::assemble(hosts, vms, queue, next_op_seq);
         c.verify().map_err(PersistError::Corrupt)?;
         Ok(c)
     }

@@ -34,7 +34,8 @@ mod vm;
 pub mod xen;
 
 pub use cluster::{
-    Cluster, Host, CHECKPOINT_CPU_OVERHEAD, CREATION_CPU_OVERHEAD, MIGRATION_CPU_OVERHEAD,
+    Cluster, Host, PowerCache, CHECKPOINT_CPU_OVERHEAD, CREATION_CPU_OVERHEAD,
+    MIGRATION_CPU_OVERHEAD,
 };
 pub use fault::{FaultPlan, RackPlan, RecoveryPolicy, SlowdownPlan};
 pub use host::{HostClass, HostSpec, InFlightOp, OpKind, PowerState};

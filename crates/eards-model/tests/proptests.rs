@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use eards_model::xen::{allocate, CpuContender};
 use eards_model::{
-    CalibratedPowerModel, Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerModel,
-    PowerState, Resources, ShardMap, VmId, VmState,
+    CalibratedPowerModel, Cluster, Cpu, HostClass, HostId, HostSpec, Job, JobId, Mem, PowerCache,
+    PowerModel, PowerState, Resources, ShardMap, VmId, VmState,
 };
 use eards_sim::{Persist, Reader, SimDuration, SimTime, Writer};
 
@@ -313,5 +313,210 @@ proptest! {
         let restored = Cluster::restore(&mut Reader::new(&bytes)).unwrap();
         let ids: Vec<VmId> = restored.vms().map(|v| v.id).collect();
         prop_assert_eq!(&ids, &expected);
+    }
+}
+
+/// The operations [`ClusterOp`] leaves out: aborts, checkpoints, the full
+/// power cycle, slowdowns, credit-scheduler reruns, request escalation,
+/// and the two calls that must *not* need a mark (progress touch,
+/// blacklist).
+#[derive(Debug, Clone)]
+enum DirtyOp {
+    Base(ClusterOp),
+    AbortCreation(u8),
+    AbortMigration(u8),
+    StartCheckpoint(u8),
+    FinishCheckpoint(u8),
+    /// Advances the host one step along off → booting → on → shutting
+    /// down → off; the flag fails a boot instead of completing it.
+    PowerStep(u8, bool),
+    /// Sets the slowdown factor (half or nominal) without reallocating.
+    Slowdown(u8, bool),
+    Reallocate(u8),
+    Escalate(u8),
+    Touch(u8),
+    Blacklist(u8),
+}
+
+fn dirty_op_strategy() -> impl Strategy<Value = DirtyOp> {
+    prop_oneof![
+        8 => cluster_op_strategy().prop_map(DirtyOp::Base),
+        1 => any::<u8>().prop_map(DirtyOp::AbortCreation),
+        1 => any::<u8>().prop_map(DirtyOp::AbortMigration),
+        1 => any::<u8>().prop_map(DirtyOp::StartCheckpoint),
+        1 => any::<u8>().prop_map(DirtyOp::FinishCheckpoint),
+        2 => (any::<u8>(), any::<bool>()).prop_map(|(h, f)| DirtyOp::PowerStep(h, f)),
+        1 => (any::<u8>(), any::<bool>()).prop_map(|(h, f)| DirtyOp::Slowdown(h, f)),
+        2 => any::<u8>().prop_map(DirtyOp::Reallocate),
+        1 => any::<u8>().prop_map(DirtyOp::Escalate),
+        1 => any::<u8>().prop_map(DirtyOp::Touch),
+        1 => any::<u8>().prop_map(DirtyOp::Blacklist),
+    ]
+}
+
+/// The `pick`-th VM (mod count) in a state `keep` accepts.
+fn pick_vm(cluster: &Cluster, pick: u8, keep: impl Fn(VmState) -> bool) -> Option<VmId> {
+    let vms: Vec<VmId> = cluster
+        .vms()
+        .filter(|v| keep(v.state))
+        .map(|v| v.id)
+        .collect();
+    (!vms.is_empty()).then(|| vms[usize::from(pick) % vms.len()])
+}
+
+fn apply_dirty(cluster: &mut Cluster, op: DirtyOp, clock: u64, next_job: &mut u64) {
+    let now = SimTime::from_secs(clock);
+    let later = SimTime::from_secs(clock + 60);
+    let host = |pick: u8| HostId(u32::from(pick) % N);
+    match op {
+        DirtyOp::Base(op) => apply(cluster, op, clock, next_job),
+        DirtyOp::AbortCreation(pick) => {
+            if let Some(vm) = pick_vm(cluster, pick, |s| s == VmState::Creating) {
+                cluster.abort_creation(vm, now);
+            }
+        }
+        DirtyOp::AbortMigration(pick) => {
+            if let Some(vm) = pick_vm(cluster, pick, |s| matches!(s, VmState::Migrating { .. })) {
+                cluster.abort_migration(vm, now);
+            }
+        }
+        DirtyOp::StartCheckpoint(pick) => {
+            if let Some(vm) = pick_vm(cluster, pick, |s| s == VmState::Running) {
+                cluster.start_checkpoint(vm, now, later);
+            }
+        }
+        DirtyOp::FinishCheckpoint(pick) => {
+            if let Some(vm) = pick_vm(cluster, pick, |s| s == VmState::Checkpointing) {
+                cluster.finish_checkpoint(vm, now);
+            }
+        }
+        DirtyOp::PowerStep(pick, fail) => {
+            let h = host(pick);
+            match cluster.host(h).power {
+                PowerState::Off => {
+                    cluster.begin_power_on(h, now);
+                }
+                PowerState::Booting { .. } if fail => cluster.fail_boot(h),
+                PowerState::Booting { .. } => cluster.complete_power_on(h),
+                PowerState::On if cluster.host(h).is_idle() => {
+                    cluster.begin_power_off(h, now);
+                }
+                PowerState::ShuttingDown { .. } => cluster.complete_power_off(h),
+                _ => {}
+            }
+        }
+        DirtyOp::Slowdown(pick, slow) => {
+            cluster.set_cpu_factor(host(pick), if slow { 0.5 } else { 1.0 });
+        }
+        DirtyOp::Reallocate(pick) => cluster.reallocate_host(host(pick), now),
+        DirtyOp::Escalate(pick) => {
+            if let Some(vm) = pick_vm(cluster, pick, |s| s.is_executing()) {
+                let cpu = cluster.vm(vm).requested.cpu;
+                cluster.raise_requested_cpu(vm, Cpu(cpu.points() + 100));
+            }
+        }
+        DirtyOp::Touch(pick) => cluster.touch_host(host(pick), now),
+        DirtyOp::Blacklist(pick) => cluster.blacklist(host(pick), 0.05),
+    }
+}
+
+/// Everything about a host that its power draw, the running counts or
+/// the auditor's per-host checks read: power state, the resident,
+/// incoming and op lists, the slowdown factor, the allocations of its
+/// resident VMs (an incoming VM executes, and draws power, on its source)
+/// and the requests of every VM it accounts. `Debug` prints `f64`s
+/// exactly.
+fn host_view(cluster: &Cluster, h: HostId) -> String {
+    let host = cluster.host(h);
+    let allocs: Vec<f64> = host
+        .resident
+        .iter()
+        .map(|&vm| cluster.vm(vm).alloc)
+        .collect();
+    let requests: Vec<Resources> = host
+        .resident
+        .iter()
+        .chain(&host.incoming)
+        .map(|&vm| cluster.vm(vm).requested)
+        .collect();
+    format!(
+        "{:?}",
+        (
+            host.power,
+            &host.resident,
+            &host.incoming,
+            &host.ops,
+            host.cpu_factor,
+            allocs,
+            requests
+        )
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// No mutation escapes the dirty set: after every operation, each
+    /// host whose state differs from before it is in the drained set, and
+    /// the incremental aggregates — the power cache refreshed from that
+    /// set alone, and the running working/online counts — equal the full
+    /// scan bit-for-bit.
+    #[test]
+    fn every_changed_host_is_dirty_and_aggregates_match_the_scan(
+        ops in proptest::collection::vec(dirty_op_strategy(), 1..150),
+    ) {
+        let model = CalibratedPowerModel::paper_4way();
+        let mut cluster = five_hosts();
+        let mut power = PowerCache::new();
+        let mut dirty = Vec::new();
+        cluster.drain_dirty(&mut dirty);
+        prop_assert_eq!(dirty.len(), N as usize, "a new cluster starts all dirty");
+        power.refresh(&cluster, &dirty, &model);
+        let mut next_job = 0u64;
+
+        for (step, op) in ops.into_iter().enumerate() {
+            let before: Vec<String> = (0..N).map(|i| host_view(&cluster, HostId(i))).collect();
+            apply_dirty(&mut cluster, op.clone(), 10 * (step as u64 + 1), &mut next_job);
+            dirty.clear();
+            cluster.drain_dirty(&mut dirty);
+            for i in 0..N {
+                let h = HostId(i);
+                prop_assert!(
+                    before[i as usize] == host_view(&cluster, h) || dirty.contains(&h),
+                    "{:?} changed {} without marking it dirty", op, h
+                );
+            }
+            let mut again = Vec::new();
+            cluster.drain_dirty(&mut again);
+            prop_assert!(again.is_empty(), "a drain clears the set");
+
+            power.refresh(&cluster, &dirty, &model);
+            prop_assert_eq!(
+                power.total().to_bits(),
+                cluster.total_power(&model).to_bits(),
+                "cached power drifted after {:?}", op
+            );
+            let hosts = cluster.hosts();
+            prop_assert_eq!(
+                cluster.working_count(),
+                hosts.iter().filter(|h| h.is_working()).count()
+            );
+            prop_assert_eq!(
+                cluster.online_count(),
+                hosts.iter().filter(|h| h.power.is_online()).count()
+            );
+            cluster.check_invariants();
+        }
+
+        // A restored cluster starts all dirty, with the counts rebuilt.
+        let mut w = Writer::new();
+        cluster.persist(&mut w);
+        let bytes = w.into_bytes().unwrap();
+        let mut restored = Cluster::restore(&mut Reader::new(&bytes)).unwrap();
+        dirty.clear();
+        restored.drain_dirty(&mut dirty);
+        prop_assert_eq!(dirty.len(), N as usize);
+        prop_assert_eq!(restored.working_count(), cluster.working_count());
+        prop_assert_eq!(restored.online_count(), cluster.online_count());
     }
 }

@@ -2,12 +2,20 @@
 //!
 //! A binary min-heap ordered by `(time, sequence)`: two events scheduled for
 //! the same instant pop in scheduling order, which makes runs reproducible
-//! regardless of heap internals. Cancellation is *lazy*: a cancelled handle
-//! goes into a tombstone set and the entry is discarded when it surfaces,
+//! regardless of heap internals. Cancellation is *lazy*: a cancelled entry
+//! stays in the heap as a tombstone and is discarded when it surfaces,
 //! keeping both `schedule` and `cancel` O(log n) / O(1).
+//!
+//! Whether a sequence number is still pending is read from a dense table
+//! indexed by sequence number, not from a hash set. The table holds one
+//! byte for every event scheduled since the queue was created or restored
+//! (about 70 KB for a simulated week of the paper's datacenter). It is not
+//! trimmed: the runner schedules its whole arrival stream and its
+//! long-range fault timers at t = 0, so the oldest pending event stays old
+//! for most of a run and a window starting there would be nearly as long.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::persist::{Persist, PersistError, Reader, Writer};
 use crate::time::SimTime;
@@ -46,13 +54,22 @@ impl<E> Ord for Entry<E> {
 
 /// A future-event list: the core data structure of the DES engine.
 pub struct EventQueue<E> {
+    /// Live entries plus the tombstones of cancelled ones.
     heap: BinaryHeap<Entry<E>>,
-    /// Sequence numbers that are scheduled and not cancelled.
-    // lint:allow(D001): membership tests and counts only, never iterated
-    pending: HashSet<u64>,
-    /// Tombstones: cancelled entries still physically in the heap.
-    // lint:allow(D001): membership tests only, never iterated
-    cancelled: HashSet<u64>,
+    /// Pending flags of sequence numbers `base..next_seq`, indexed by
+    /// `seq - base`: `true` while the event is scheduled and has neither
+    /// fired nor been cancelled.
+    pending: Vec<bool>,
+    /// First sequence number `pending` covers: 0 for a new queue,
+    /// `next_seq` for a restored one.
+    base: u64,
+    /// The live entries a restored queue inherited (all below `base`),
+    /// ascending, with their pending flags. Keeping them apart lets
+    /// restore allocate in proportion to the snapshot, not to the span of
+    /// sequence numbers its entries cover.
+    inherited: Vec<(u64, bool)>,
+    /// Number of pending events.
+    live: usize,
     next_seq: u64,
 }
 
@@ -67,20 +84,22 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            pending: Vec::new(),
+            base: 0,
+            inherited: Vec::new(),
+            live: 0,
             next_seq: 0,
         }
     }
 
     /// Number of live (non-cancelled) scheduled events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 
     /// Schedules `payload` at `time`, returning a handle for cancellation.
@@ -88,7 +107,8 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Entry { time, seq, payload });
-        self.pending.insert(seq);
+        self.pending.push(true);
+        self.live += 1;
         EventHandle(seq)
     }
 
@@ -97,12 +117,7 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event was still pending, `false` if it had
     /// already fired or been cancelled.
     pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if self.pending.remove(&handle.0) {
-            self.cancelled.insert(handle.0);
-            true
-        } else {
-            false
-        }
+        self.settle(handle.0)
     }
 
     /// Time of the next live event, if any.
@@ -115,18 +130,50 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, EventHandle, E)> {
         self.skim_cancelled();
         let entry = self.heap.pop()?;
-        self.pending.remove(&entry.seq);
+        self.settle(entry.seq);
         Some((entry.time, EventHandle(entry.seq), entry.payload))
+    }
+
+    /// True if `seq` is scheduled and has neither fired nor been
+    /// cancelled; false also for a sequence number never issued.
+    fn is_pending(&self, seq: u64) -> bool {
+        match seq.checked_sub(self.base) {
+            Some(i) => usize::try_from(i)
+                .ok()
+                .and_then(|i| self.pending.get(i))
+                .is_some_and(|&p| p),
+            None => self
+                .inherited
+                .binary_search_by_key(&seq, |e| e.0)
+                .is_ok_and(|i| self.inherited[i].1),
+        }
+    }
+
+    /// Marks `seq` fired or cancelled; returns whether it was pending.
+    fn settle(&mut self, seq: u64) -> bool {
+        let flag = match seq.checked_sub(self.base) {
+            Some(i) => usize::try_from(i)
+                .ok()
+                .and_then(|i| self.pending.get_mut(i)),
+            None => match self.inherited.binary_search_by_key(&seq, |e| e.0) {
+                Ok(i) => self.inherited.get_mut(i).map(|e| &mut e.1),
+                Err(_) => None,
+            },
+        };
+        let was_pending = flag.is_some_and(|p| std::mem::replace(p, false));
+        if was_pending {
+            self.live -= 1;
+        }
+        was_pending
     }
 
     /// Drops cancelled entries sitting at the top of the heap.
     fn skim_cancelled(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
+            if self.is_pending(top.seq) {
                 break;
             }
+            self.heap.pop();
         }
     }
 }
@@ -135,20 +182,21 @@ crate::persist_struct!(EventHandle(seq));
 
 /// Canonical state: `next_seq` plus the live entries with their original
 /// sequence numbers, written sorted by `(time, seq)`. Cancelled tombstones
-/// are compacted away (restore starts with an empty tombstone set), but
-/// sequence numbers are preserved so [`EventHandle`]s held by callers
-/// remain valid across a snapshot.
-// lint:allow(SNAP001): not field-for-field; live entries are written sorted without tombstones, and restore validates sequence numbers and rebuilds the pending set
+/// are compacted away, but sequence numbers are preserved so
+/// [`EventHandle`]s held by callers remain valid across a snapshot.
+// lint:allow(SNAP001): not field-for-field; live entries are written sorted without tombstones, and restore validates sequence numbers and rebuilds the pending table
 impl<E: Persist> Persist for EventQueue<E> {
     fn persist(&self, w: &mut Writer) {
         let EventQueue {
             heap,
-            pending,
-            cancelled: _,
+            pending: _,
+            base: _,
+            inherited: _,
+            live: _,
             next_seq,
         } = self;
         w.put_u64(*next_seq);
-        let mut live: Vec<&Entry<E>> = heap.iter().filter(|e| pending.contains(&e.seq)).collect();
+        let mut live: Vec<&Entry<E>> = heap.iter().filter(|e| self.is_pending(e.seq)).collect();
         live.sort_by_key(|e| (e.time, e.seq));
         w.put_len(live.len());
         for entry in live {
@@ -162,7 +210,7 @@ impl<E: Persist> Persist for EventQueue<E> {
         let next_seq = r.get_u64()?;
         let n = r.get_len()?;
         let mut heap = BinaryHeap::with_capacity(n);
-        let mut pending = HashSet::with_capacity(n);
+        let mut inherited = Vec::with_capacity(n);
         for _ in 0..n {
             let time = SimTime::restore(r)?;
             let seq = r.get_u64()?;
@@ -172,15 +220,23 @@ impl<E: Persist> Persist for EventQueue<E> {
                     "event seq {seq} not below next_seq {next_seq}"
                 )));
             }
-            if !pending.insert(seq) {
-                return Err(PersistError::Corrupt(format!("duplicate event seq {seq}")));
-            }
+            inherited.push(seq);
             heap.push(Entry { time, seq, payload });
+        }
+        inherited.sort_unstable();
+        let dup = inherited.windows(2).find_map(|pair| match *pair {
+            [a, b] if a == b => Some(a),
+            _ => None,
+        });
+        if let Some(seq) = dup {
+            return Err(PersistError::Corrupt(format!("duplicate event seq {seq}")));
         }
         Ok(EventQueue {
             heap,
-            pending,
-            cancelled: HashSet::new(),
+            pending: Vec::new(),
+            base: next_seq,
+            live: inherited.len(),
+            inherited: inherited.into_iter().map(|seq| (seq, true)).collect(),
             next_seq,
         })
     }
@@ -292,5 +348,106 @@ mod tests {
         assert_eq!(q.pop().map(|(_, _, p)| p), Some(20));
         assert_eq!(q.pop().map(|(ti, _, _)| ti), None);
         let _ = SimDuration::ZERO; // keep import used in this cfg
+    }
+
+    /// The runner's traffic: long-lived events scheduled first (its
+    /// arrival stream and fault timers), then many schedule/cancel/pop
+    /// cycles over a small live set. The old events stay pending and
+    /// cancellable throughout, the table grows by one flag per scheduled
+    /// event, and a persist→restore round trip starts a table sized by the
+    /// snapshot's live entries, not by the sequence numbers issued so far.
+    #[test]
+    fn long_lived_events_survive_many_short_cycles() {
+        let mut q = EventQueue::new();
+        let far: Vec<EventHandle> = (0..4).map(|i| q.schedule(t(1_000_000 + i), i)).collect();
+        let mut lcg = 0x2545_f491_u64;
+        let mut delay = move || {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            1 + (lcg >> 33) % 50
+        };
+        let mut handles: Vec<EventHandle> = (0..16).map(|_| q.schedule(t(delay()), 99)).collect();
+        for i in 0..50_000u64 {
+            let (now, fired, payload) = q.pop().expect("the live set never empties");
+            assert_eq!(payload, 99, "a long-lived event fired early");
+            handles.retain(|&h| h != fired);
+            if i % 3 == 0 {
+                let victim = handles.remove((i as usize / 3) % handles.len());
+                assert!(q.cancel(victim));
+                handles.push(q.schedule(now + SimDuration::from_secs(delay()), 99));
+            }
+            handles.push(q.schedule(now + SimDuration::from_secs(delay()), 99));
+            assert_eq!(q.len(), 20);
+        }
+        assert_eq!(q.pending.len() as u64, q.next_seq);
+        assert!(q.cancel(far[1]));
+        assert!(!q.cancel(far[1]));
+
+        let mut w = crate::persist::Writer::new();
+        q.persist(&mut w);
+        let bytes = w.into_bytes().unwrap();
+        let mut r: EventQueue<u64> =
+            EventQueue::restore(&mut crate::persist::Reader::new(&bytes)).unwrap();
+        assert_eq!((r.len(), r.pending.len(), r.inherited.len()), (19, 0, 19));
+        assert!(!r.cancel(far[1]), "cancelled before the snapshot");
+        for h in handles {
+            assert!(r.cancel(h));
+        }
+        let rest: Vec<u64> = std::iter::from_fn(|| r.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(rest, vec![0, 2, 3]);
+        assert!(!r.cancel(far[0]), "already fired");
+    }
+
+    #[test]
+    fn restore_rejects_duplicate_and_future_sequence_numbers() {
+        let encode = |next_seq: u64, seqs: &[u64]| {
+            let mut w = crate::persist::Writer::new();
+            w.put_u64(next_seq);
+            w.put_len(seqs.len());
+            for &seq in seqs {
+                t(1).persist(&mut w);
+                w.put_u64(seq);
+                7u64.persist(&mut w);
+            }
+            w.into_bytes().unwrap()
+        };
+        let restore = |bytes: &[u8]| {
+            EventQueue::<u64>::restore(&mut crate::persist::Reader::new(bytes)).map(|q| q.len())
+        };
+        assert_eq!(restore(&encode(9, &[4, 2, 8])).ok(), Some(3));
+        // Restore allocates by entry count, not by the sequence-number span.
+        assert_eq!(restore(&encode(1 << 62, &[4, 1 << 61])).ok(), Some(2));
+        match restore(&encode(9, &[4, 2, 4])) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("duplicate event seq 4")),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        match restore(&encode(9, &[9])) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("not below next_seq")),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// A restored queue serves the inherited handles from the sorted
+    /// carry-over list and new ones from a table starting at `next_seq`.
+    #[test]
+    fn restored_handles_settle_once() {
+        let mut q = EventQueue::new();
+        let old: Vec<EventHandle> = (0..5).map(|i| q.schedule(t(10 + i), i)).collect();
+        q.cancel(old[1]);
+        let mut w = crate::persist::Writer::new();
+        q.persist(&mut w);
+        let bytes = w.into_bytes().unwrap();
+        let mut r: EventQueue<u64> =
+            EventQueue::restore(&mut crate::persist::Reader::new(&bytes)).unwrap();
+        assert_eq!((r.len(), r.pending.len(), r.inherited.len()), (4, 0, 4));
+        assert!(!r.cancel(old[1]), "cancelled before the snapshot");
+        assert!(r.cancel(old[3]));
+        assert!(!r.cancel(old[3]));
+        let new = r.schedule(t(1), 99);
+        assert_eq!(r.pop().map(|(_, h, p)| (h, p)), Some((new, 99)));
+        assert_eq!(r.pop().map(|(_, h, p)| (h, p)), Some((old[0], 0)));
+        assert!(!r.cancel(old[0]), "already fired");
+        let rest: Vec<u64> = std::iter::from_fn(|| r.pop().map(|(_, _, p)| p)).collect();
+        assert_eq!(rest, vec![2, 4]);
+        assert!(r.is_empty() && r.inherited.iter().all(|e| !e.1));
     }
 }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use eards_sim::{EventQueue, SimDuration, SimTime};
+use eards_sim::{EventHandle, EventQueue, Persist, Reader, SimDuration, SimTime, Writer};
 
 /// Operations to drive the queue model.
 #[derive(Debug, Clone)]
@@ -20,6 +20,39 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0usize..64).prop_map(Op::Cancel),
         2 => Just(Op::Pop),
     ]
+}
+
+/// Operations for the differential queue test.
+#[derive(Debug, Clone)]
+enum DiffOp {
+    Schedule(u64),
+    /// Cancel the i-th handle ever issued (mod count): live, fired or
+    /// already cancelled.
+    CancelIssued(usize),
+    /// Cancel a handle this many sequence numbers past the last issued.
+    CancelUnknown(u64),
+    Pop,
+    /// Persist the queue and continue on the restored copy.
+    RoundTrip,
+}
+
+fn diff_op_strategy() -> impl Strategy<Value = DiffOp> {
+    prop_oneof![
+        4 => (0u64..200).prop_map(DiffOp::Schedule),
+        2 => any::<usize>().prop_map(DiffOp::CancelIssued),
+        1 => (0u64..4).prop_map(DiffOp::CancelUnknown),
+        3 => Just(DiffOp::Pop),
+        1 => Just(DiffOp::RoundTrip),
+    ]
+}
+
+/// The handle of sequence number `seq`, built through its codec (handles
+/// are opaque outside the crate).
+fn handle(seq: u64) -> EventHandle {
+    let mut w = Writer::new();
+    w.put_u64(seq);
+    let bytes = w.into_bytes().unwrap();
+    EventHandle::restore(&mut Reader::new(&bytes)).unwrap()
 }
 
 proptest! {
@@ -71,6 +104,85 @@ proptest! {
             let (t, _, p) = queue.pop().expect("queue must match reference");
             prop_assert_eq!(t, rt);
             prop_assert_eq!(p, rp);
+        }
+        prop_assert!(queue.pop().is_none());
+    }
+
+    /// Differential test against a naive `Vec` model that also exercises
+    /// stale handles (cancelling fired, cancelled and never-issued ones)
+    /// and snapshot round trips mid-stream: every cancel verdict, every
+    /// popped entry and every `len()` must match the model.
+    #[test]
+    fn queue_matches_naive_model_with_stale_handles_and_restores(
+        ops in proptest::collection::vec(diff_op_strategy(), 1..300),
+    ) {
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        // Model: the live entries as (time, seq, payload), unordered; the
+        // state of every handle ever issued, indexed by sequence number.
+        let mut live: Vec<(SimTime, u64, u64)> = Vec::new();
+        let mut issued: Vec<(EventHandle, bool)> = Vec::new();
+        for op in ops {
+            match op {
+                DiffOp::Schedule(ms) => {
+                    let t = SimTime::from_millis(ms);
+                    let seq = issued.len() as u64;
+                    let h = queue.schedule(t, seq);
+                    prop_assert_eq!(h, handle(seq), "handles are sequence numbers");
+                    live.push((t, seq, seq));
+                    issued.push((h, true));
+                }
+                DiffOp::CancelIssued(i) => {
+                    if issued.is_empty() {
+                        continue;
+                    }
+                    let k = i % issued.len();
+                    let (h, pending) = issued[k];
+                    prop_assert_eq!(queue.cancel(h), pending);
+                    if pending {
+                        issued[k].1 = false;
+                        live.retain(|e| e.1 != k as u64);
+                    }
+                }
+                DiffOp::CancelUnknown(ahead) => {
+                    let h = handle(issued.len() as u64 + ahead);
+                    prop_assert!(!queue.cancel(h), "never-issued handle must not cancel");
+                }
+                DiffOp::Pop => {
+                    let next = live
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, e)| (e.0, e.1))
+                        .map(|(i, _)| i);
+                    match (queue.pop(), next) {
+                        (Some((t, h, payload)), Some(i)) => {
+                            let (rt, rseq, rp) = live.remove(i);
+                            prop_assert_eq!((t, h, payload), (rt, handle(rseq), rp));
+                            issued[rseq as usize].1 = false;
+                        }
+                        (None, None) => {}
+                        (got, want) => prop_assert!(false, "popped {:?}, model has {:?}", got.map(|g| g.0), want),
+                    }
+                }
+                DiffOp::RoundTrip => {
+                    let mut w = Writer::new();
+                    queue.persist(&mut w);
+                    let bytes = w.into_bytes().unwrap();
+                    let mut r = Reader::new(&bytes);
+                    let restored = EventQueue::restore(&mut r).unwrap();
+                    r.finish().unwrap();
+                    // The snapshot is a fixed point.
+                    let mut w2 = Writer::new();
+                    restored.persist(&mut w2);
+                    prop_assert_eq!(&bytes, &w2.into_bytes().unwrap());
+                    queue = restored;
+                }
+            }
+            prop_assert_eq!(queue.len(), live.len());
+            prop_assert_eq!(queue.is_empty(), live.is_empty());
+        }
+        live.sort_by_key(|e| (e.0, e.1));
+        for (rt, rseq, rp) in live {
+            prop_assert_eq!(queue.pop(), Some((rt, handle(rseq), rp)));
         }
         prop_assert!(queue.pop().is_none());
     }
